@@ -10,26 +10,30 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from . import __version__
-from .core import TriGrid, VertexSet, render_ascii
+from .core import TriGrid, VertexSet, boundary, render_ascii
 from .compress import compress_left, compress_right
 from .isoperimetry import exhaustive_min_boundary, sampled_check
-from .lions import LionTrace, claim_check, column_sweep_strategy, couple_to_search
+from .lions import (
+    LionTrace,
+    claim_check,
+    column_sweep_strategy,
+    couple_to_search,
+    exact_lion_number,
+)
 from .ordering import final_segment, initial_segment
 from .search import (
-    SearchTrace,
-    TraceError,
     exact_inspection_number,
     inspection_bounds_report,
     three_stage_strategy,
     verify_trace,
 )
-from .core import boundary
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -69,184 +73,147 @@ class Report:
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _search_frames(trace: SearchTrace) -> list[str]:
+def _simulated(trace, ok: bool, render: bool, marked, dirty, glyph: str):
+    """Run result for a simulated trace.  With render, one ASCII frame per
+    turn: glyph on marked vertices, R on dirty ones, G elsewhere."""
+    payload = trace.to_json_obj()
+    payload["cleared"] = ok
+    if not render:
+        return payload, ok, None
     grid = trace.grid
-    frames = []
-    for s, dirty in zip(trace.searches, trace.dirty_after):
-        labels = {}
-        for v in grid.vertices():
-            if v in s:
-                labels[v] = "Y"
-            elif v in dirty:
-                labels[v] = "R"
-            else:
-                labels[v] = "G"
-        frames.append(render_ascii(grid, labels))
-    return frames
+    payload["frames"] = [
+        render_ascii(
+            grid, {v: glyph if v in m else "R" if v in d else "G" for v in grid.vertices()}
+        )
+        for m, d in zip(marked, dirty)
+    ]
+    return payload, ok, "\n".join(payload["frames"])
 
 
-def _lion_frames(trace: LionTrace) -> list[str]:
-    grid = trace.grid
-    frames = []
-    for pos, cont in zip(trace.positions, trace.contaminated):
-        labels = {}
-        occupied = set(pos)
-        for v in grid.vertices():
-            if v in occupied:
-                labels[v] = "L"
-            elif v in cont:
-                labels[v] = "R"
-            else:
-                labels[v] = "G"
-        frames.append(render_ascii(grid, labels))
-    return frames
-
-
-def _load_pairs(path: str) -> list:
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
+def _verify_isoperimetry(p: dict, config: RunConfig):
+    grid = TriGrid(p["n"])
+    if p["exhaustive"]:
+        table = exhaustive_min_boundary(grid, limit=p["limit"], workers=config.threads)
+        return table.to_json_obj(), table.all_verified(), table.to_csv()
+    report = sampled_check(grid, p["samples"], config.seed)
+    return report.to_json_obj(), report.ok, None
+
+
+def _packing(p: dict, config: RunConfig):
+    grid = TriGrid(p["n"])
+    segment = initial_segment if p["kind"] == "initial" else final_segment
+    seg = segment(grid, p["k"])
+    payload = {**p, "set": seg.to_pairs(), "boundary_size": len(boundary(grid, seg))}
+    return payload, True, None
+
+
+def _compress(p: dict, config: RunConfig):
+    grid = TriGrid(p["n"])
+    vset = VertexSet.from_pairs(grid, _load_json(p["set"]))
+    op = compress_left if p["side"] == "left" else compress_right
+    result = op(grid, vset, p["axis"])
+    payload = {"n": grid.n, "axis": p["axis"], "side": p["side"], "input": vset.to_pairs()}
+    return {**payload, "output": result.to_pairs()}, True, None
+
+
+def _search_simulate(p: dict, config: RunConfig):
+    grid = TriGrid(p["n"])
+    trace = three_stage_strategy(grid)
+    ok = verify_trace(grid, trace)
+    return _simulated(trace, ok, p["render"], trace.searches, trace.dirty_after, "Y")
+
+
+def _search_exact(p: dict, config: RunConfig):
+    value = exact_inspection_number(TriGrid(p["n"]), p["max_m"])
+    return {**p, "inspection_number": "unknown" if value is None else value}, True, None
+
+
+def _search_bounds(p: dict, config: RunConfig):
+    rows = inspection_bounds_report(p["n_max"], exact_up_to=p["exact_up_to"])
+    ok = all(r.upper_verified and r.lower < r.upper for r in rows)
+    lines = ["n,lower,upper,upper_verified,exact"]
+    for r in rows:
+        exact = "" if r.exact is None else r.exact
+        lines.append(f"{r.n},{r.lower},{r.upper},{str(r.upper_verified).lower()},{exact}")
+    return {"rows": [r.to_json_obj() for r in rows]}, ok, "\n".join(lines) + "\n"
+
+
+def _lions_simulate(p: dict, config: RunConfig):
+    trace = column_sweep_strategy(TriGrid(p["n"]))
+    occupied = map(set, trace.positions)
+    return _simulated(
+        trace, trace.is_winning(), p["render"], occupied, trace.contaminated, "L"
+    )
+
+
+def _lions_couple(p: dict, config: RunConfig):
+    trace = LionTrace.from_json_obj(_load_json(p["trace"]))
+    search_trace = couple_to_search(trace)
+    claim_holds = claim_check(trace)
+    ok = (
+        claim_holds
+        and verify_trace(trace.grid, search_trace)
+        and search_trace.max_search_size() <= search_trace.budget
+    )
+    return {**search_trace.to_json_obj(), "claim_holds": claim_holds}, ok, None
+
+
+def _lions_exact(p: dict, config: RunConfig):
+    value = exact_lion_number(TriGrid(p["n"]), p["max_l"])
+    return {**p, "lion_number": "unknown" if value is None else value}, True, None
+
+
+def _render(p: dict, config: RunConfig):
+    grid = TriGrid(p["n"])
+    labels = {}
+    if p["set"]:
+        labels = {v: "#" for v in VertexSet.from_pairs(grid, _load_json(p["set"]))}
+    text = render_ascii(grid, labels, row_n_top=not p["bottom_up"])
+    return {"n": grid.n, "ascii": text}, True, text
+
+
+# Command string -> run(params, config) returning (payload, ok, text); text
+# is the csv/ascii rendering, None where the command has none.
+COMMANDS = {
+    "verify-isoperimetry": _verify_isoperimetry,
+    "packing": _packing,
+    "compress": _compress,
+    "search simulate": _search_simulate,
+    "search exact": _search_exact,
+    "search bounds": _search_bounds,
+    "lions simulate": _lions_simulate,
+    "lions couple": _lions_couple,
+    "lions exact": _lions_exact,
+    "render": _render,
+}
+
+
 def dispatch(config: RunConfig) -> Report:
     """Run one command; raises TraceError/ValueError for bad inputs."""
-    t0 = time.perf_counter()
-    p = config.params
-    ok = True
-    text: str | None = None
-    payload: Any
-
-    if config.command == "verify-isoperimetry":
-        grid = TriGrid(p["n"])
-        if p["exhaustive"]:
-            table = exhaustive_min_boundary(
-                grid, limit=p["limit"], workers=config.threads
-            )
-            ok = table.all_verified()
-            payload = table.to_json_obj()
-            text = table.to_csv()
-        else:
-            report = sampled_check(grid, p["samples"], config.seed)
-            ok = report.ok
-            payload = report.to_json_obj()
-
-    elif config.command == "packing":
-        grid = TriGrid(p["n"])
-        seg = (
-            initial_segment(grid, p["k"])
-            if p["kind"] == "initial"
-            else final_segment(grid, p["k"])
-        )
-        payload = {
-            "n": grid.n,
-            "k": p["k"],
-            "kind": p["kind"],
-            "set": seg.to_pairs(),
-            "boundary_size": len(boundary(grid, seg)),
-        }
-
-    elif config.command == "compress":
-        grid = TriGrid(p["n"])
-        vset = VertexSet(grid, _load_pairs(p["set"]))
-        op = compress_left if p["side"] == "left" else compress_right
-        result = op(grid, vset, p["axis"])
-        payload = {
-            "n": grid.n,
-            "axis": p["axis"],
-            "side": p["side"],
-            "input": vset.to_pairs(),
-            "output": result.to_pairs(),
-        }
-
-    elif config.command == "search simulate":
-        grid = TriGrid(p["n"])
-        trace = three_stage_strategy(grid)
-        ok = verify_trace(grid, trace)
-        payload = trace.to_json_obj()
-        payload["cleared"] = ok
-        if p["render"]:
-            frames = _search_frames(trace)
-            payload["frames"] = frames
-            text = "\n".join(frames)
-
-    elif config.command == "search exact":
-        grid = TriGrid(p["n"])
-        value = exact_inspection_number(grid, p["max_m"])
-        payload = {
-            "n": grid.n,
-            "max_m": p["max_m"],
-            "inspection_number": value if value is not None else "unknown",
-        }
-
-    elif config.command == "search bounds":
-        rows = inspection_bounds_report(p["n_max"], exact_up_to=p["exact_up_to"])
-        ok = all(r.upper_verified and r.lower < r.upper for r in rows)
-        payload = {"rows": [r.to_json_obj() for r in rows]}
-        lines = ["n,lower,upper,upper_verified,exact"]
-        for r in rows:
-            exact = "" if r.exact is None else r.exact
-            lines.append(
-                f"{r.n},{r.lower},{r.upper},{str(r.upper_verified).lower()},{exact}"
-            )
-        text = "\n".join(lines) + "\n"
-
-    elif config.command == "lions simulate":
-        grid = TriGrid(p["n"])
-        trace = column_sweep_strategy(grid)
-        ok = trace.is_winning()
-        payload = trace.to_json_obj()
-        payload["cleared"] = ok
-        if p["render"]:
-            frames = _lion_frames(trace)
-            payload["frames"] = frames
-            text = "\n".join(frames)
-
-    elif config.command == "lions couple":
-        with open(p["trace"], "r", encoding="utf-8") as fh:
-            trace = LionTrace.from_json_obj(json.load(fh))
-        search_trace = couple_to_search(trace)
-        ok = (
-            claim_check(trace)
-            and verify_trace(trace.grid, search_trace)
-            and search_trace.max_search_size() <= search_trace.budget
-        )
-        payload = search_trace.to_json_obj()
-        payload["claim_holds"] = claim_check(trace)
-
-    elif config.command == "lions exact":
-        from .lions import exact_lion_number
-
-        grid = TriGrid(p["n"])
-        value = exact_lion_number(grid, p["max_l"])
-        payload = {
-            "n": grid.n,
-            "max_l": p["max_l"],
-            "lion_number": value if value is not None else "unknown",
-        }
-
-    elif config.command == "render":
-        grid = TriGrid(p["n"])
-        labels = {}
-        if p["set"]:
-            vset = VertexSet(grid, _load_pairs(p["set"]))
-            labels = {v: "#" for v in vset}
-        text = render_ascii(grid, labels, row_n_top=not p["bottom_up"])
-        payload = {"n": grid.n, "ascii": text}
-
-    else:
+    run = COMMANDS.get(config.command)
+    if run is None:
         raise ValueError(f"unknown command {config.command!r}")
-
-    duration = time.perf_counter() - t0
+    cpus = os.cpu_count() or 1
+    if not 1 <= config.threads <= cpus:
+        raise ValueError(f"--threads must be in 1..{cpus}, got {config.threads}")
+    t0 = time.perf_counter()
+    payload, ok, text = run(config.params, config)
     return Report(
         command=config.command,
         config={
-            "params": p,
+            "params": config.params,
             "format": config.fmt,
             "seed": config.seed,
             "threads": config.threads,
         },
         payload=payload,
         ok=ok,
-        duration_s=duration,
+        duration_s=time.perf_counter() - t0,
         text=text,
     )
 
@@ -255,7 +222,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "csv", "ascii"), default="json")
     sub.add_argument("--out", help="write the report to this path instead of stdout")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1, help="process workers, 1..CPU count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,38 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SHARED = ("command", "subcommand", "format", "out", "seed", "threads")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    if getattr(args, "subcommand", None):
-        command = f"{args.command} {args.subcommand}"
-    params: dict = {}
-    if command == "verify-isoperimetry":
-        params = {
-            "n": args.n,
-            "exhaustive": bool(args.exhaustive),
-            "samples": args.samples if args.samples is not None else 10000,
-            "limit": args.limit,
-        }
-        if not args.exhaustive and args.samples is None:
-            params["exhaustive"] = args.n <= 5
-    elif command == "packing":
-        params = {"n": args.n, "k": args.k, "kind": args.kind}
-    elif command == "compress":
-        params = {"n": args.n, "axis": args.axis, "side": args.side, "set": args.set}
-    elif command == "search simulate":
-        params = {"n": args.n, "render": bool(args.render)}
-    elif command == "search exact":
-        params = {"n": args.n, "max_m": args.max_m}
-    elif command == "search bounds":
-        params = {"n_max": args.n_max, "exact_up_to": args.exact_up_to}
-    elif command == "lions simulate":
-        params = {"n": args.n, "render": bool(args.render)}
-    elif command == "lions couple":
-        params = {"trace": args.trace}
-    elif command == "lions exact":
-        params = {"n": args.n, "max_l": args.max_l}
-    elif command == "render":
-        params = {"n": args.n, "set": args.set, "bottom_up": bool(args.bottom_up)}
+    ns = vars(args)
+    command = " ".join(filter(None, (ns["command"], ns.get("subcommand"))))
+    params = {k: v for k, v in ns.items() if k not in _SHARED}
+    if command == "verify-isoperimetry" and params["samples"] is None:
+        # Neither mode flag given: exhaustive where it is cheap, else sampled.
+        params["samples"] = 10000
+        params["exhaustive"] = params["exhaustive"] or params["n"] <= 5
     return RunConfig(
         command=command,
         params=params,
@@ -399,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (TraceError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # TraceError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

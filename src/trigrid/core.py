@@ -171,8 +171,9 @@ class VertexSet:
         return [[v.v1, v.v2] for v in self]
 
     @classmethod
-    def from_pairs(cls, grid: TriGrid, pairs: Iterable) -> "VertexSet":
-        return cls(grid, pairs)
+    def from_pairs(cls, grid: TriGrid, pairs) -> "VertexSet":
+        """Inverse of to_pairs, decoding strictly (see coords_from_json)."""
+        return cls(grid, coords_from_json(pairs))
 
     def __contains__(self, v) -> bool:
         return bool(self.bits >> self.grid.index(v) & 1)
@@ -237,6 +238,30 @@ class VertexSet:
 
     def complement(self) -> "VertexSet":
         return VertexSet.from_bits(self.grid, self.grid.full_mask & ~self.bits)
+
+
+def json_int(x, what: str) -> int:
+    """A JSON integer as-is; floats, bools and strings raise ValueError."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def coords_from_json(pairs) -> list[Coord]:
+    """Decode a JSON list of [v1, v2] pairs without coercion.
+
+    Every entry must be a two-element list of integers; anything else
+    (1.5, true, a triple, a bare number) raises ValueError.  Grid
+    membership is left to the caller's TriGrid.
+    """
+    if not isinstance(pairs, (list, tuple)):
+        raise ValueError(f"expected a list of [v1, v2] pairs, got {pairs!r}")
+    out = []
+    for p in pairs:
+        if not isinstance(p, (list, tuple)) or len(p) != 2:
+            raise ValueError(f"expected a [v1, v2] pair, got {p!r}")
+        out.append(Coord(json_int(p[0], "v1"), json_int(p[1], "v2")))
+    return out
 
 
 def neighbors(grid: TriGrid, v) -> list[Coord]:

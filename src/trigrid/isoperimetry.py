@@ -94,6 +94,8 @@ def exhaustive_min_boundary(
     sampled_check instead.
     """
     n = grid.n
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if n > min(limit, EXHAUSTIVE_HARD_LIMIT):
         raise ValueError(
             f"T_{n} has 2^{grid.vertex_count} subsets; exhaustive enumeration is "
@@ -165,6 +167,8 @@ def sampled_check(grid: TriGrid, samples: int, seed: int) -> SampledReport:
     """
     if grid.n > SAMPLED_ORDER_LIMIT:
         raise ValueError(f"sampled check supports n <= {SAMPLED_ORDER_LIMIT}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     nv = grid.vertex_count
     packing = np.array([packing_minimum(grid, k) for k in range(nv + 1)])
     rng = np.random.default_rng(seed)
@@ -178,9 +182,8 @@ def sampled_check(grid: TriGrid, samples: int, seed: int) -> SampledReport:
         card = mat.sum(axis=1, dtype=np.int64)
         bsize = bulk.boundary_sizes(grid, mat)
         slack = bsize - packing[card]
-        lo = int(slack.min()) if count else None
-        if lo is not None:
-            min_slack = lo if min_slack is None else min(min_slack, lo)
+        lo = int(slack.min())
+        min_slack = lo if min_slack is None else min(min_slack, lo)
         for i in np.nonzero(slack < 0)[0]:
             bits = bulk.pack_rows(mat[i : i + 1])[0]
             violations.append(

@@ -16,14 +16,39 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import Coord, TriGrid, VertexSet, automorphism_id_permutations
-from .search import SearchTrace, step
+from .core import (
+    Coord,
+    TriGrid,
+    VertexSet,
+    automorphism_id_permutations,
+    coords_from_json,
+    json_int,
+)
+from .search import SearchTrace, TraceError
 
 EXACT_ORDER_LIMIT = 2
 
 
 def _edge_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
+
+
+def _block_traversed(base: int, cont: int, traversed: set, nbr_ids) -> int:
+    """Remove from base the vertices whose every spread route was traversed.
+
+    base is cont | spread(cont); a traversed edge blocks spread this turn,
+    and only endpoints of traversed edges can have lost a route, so
+    nbr_ids(v) (the neighbour ids of dense id v) is asked for those alone.
+    """
+    for a, b in traversed:
+        for v in (a, b):
+            if cont >> v & 1 or not base >> v & 1:
+                continue
+            if not any(
+                cont >> u & 1 and _edge_key(u, v) not in traversed for u in nbr_ids(v)
+            ):
+                base &= ~(1 << v)
+    return base
 
 
 def lion_step(
@@ -56,20 +81,12 @@ def lion_step(
     for v in new_positions:
         occupied |= 1 << grid.index(v)
     cont = contaminated.bits
-    base = cont | grid.spread_bits(cont)
-    # Only endpoints of traversed edges can have lost a spread route.
-    for a, b in traversed:
-        for v in (a, b):
-            if cont >> v & 1 or not base >> v & 1:
-                continue
-            reachable = False
-            for u in grid.neighbors(grid.coord(v)):
-                ui = grid.index(u)
-                if cont >> ui & 1 and _edge_key(ui, v) not in traversed:
-                    reachable = True
-                    break
-            if not reachable:
-                base &= ~(1 << v)
+    base = _block_traversed(
+        cont | grid.spread_bits(cont),
+        cont,
+        traversed,
+        lambda v: (grid.index(u) for u in grid.neighbors(grid.coord(v))),
+    )
     new_cont = VertexSet.from_bits(grid, base & ~occupied)
     return tuple(new_positions), new_cont
 
@@ -141,18 +158,23 @@ class LionTrace:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LionTrace":
-        grid = TriGrid(int(obj["n"]))
-        start = [Coord(int(p[0]), int(p[1])) for p in obj["start"]]
-        if "lions" in obj and int(obj["lions"]) != len(start):
-            raise ValueError("lion count does not match start positions")
-        turns: list[Turn] = []
-        for raw_turn in obj["moves"]:
-            turn: Turn = []
-            for idx, dest in raw_turn:
-                turn.append(
-                    (int(idx), None if dest is None else Coord(int(dest[0]), int(dest[1])))
-                )
-            turns.append(turn)
+        try:
+            grid = TriGrid(json_int(obj["n"], "n"))
+            start = coords_from_json(obj["start"])
+            if "lions" in obj and json_int(obj["lions"], "lions") != len(start):
+                raise ValueError("lion count does not match start positions")
+            turns: list[Turn] = [
+                [
+                    (
+                        json_int(idx, "lion index"),
+                        None if dest is None else coords_from_json([dest])[0],
+                    )
+                    for idx, dest in raw_turn
+                ]
+                for raw_turn in obj["moves"]
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceError(f"malformed lion trace: {exc}") from exc
         return cls.from_moves(grid, start, turns)
 
 
@@ -262,16 +284,7 @@ def _lions_win_from(grid: TriGrid, start_ids: tuple[int, ...]) -> bool:
                 occ |= 1 << dest
                 if dest != prev:
                     traversed.add(_edge_key(prev, dest))
-            base = cont | spread
-            for a, b in traversed:
-                for v in (a, b):
-                    if cont >> v & 1 or not base >> v & 1:
-                        continue
-                    if not any(
-                        cont >> u & 1 and _edge_key(u, v) not in traversed
-                        for u in nbr_ids[v]
-                    ):
-                        base &= ~(1 << v)
+            base = _block_traversed(cont | spread, cont, traversed, nbr_ids.__getitem__)
             new_cont = base & ~occ
             if new_cont == 0:
                 return True
@@ -292,6 +305,8 @@ def exact_lion_number(grid: TriGrid, max_l: int) -> int | None:
     """
     if grid.n > EXACT_ORDER_LIMIT:
         raise ValueError(f"exact lion solving supports n <= {EXACT_ORDER_LIMIT}")
+    if max_l < 1:
+        raise ValueError(f"max_l must be at least 1, got {max_l}")
     for lions in range(1, max_l + 1):
         for start in _canonical_placements(grid, lions):
             if _lions_win_from(grid, start):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Coord, TriGrid, VertexSet, automorphism_id_permutations
+from .core import Coord, TriGrid, VertexSet, automorphism_id_permutations, json_int
 from .isoperimetry import lower_bound_certificate
 
 EXACT_ORDER_LIMIT = 4
@@ -89,9 +89,9 @@ class SearchTrace:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SearchTrace":
         try:
-            grid = TriGrid(int(obj["n"]))
-            budget = int(obj["budget"])
-            searches = [VertexSet(grid, pairs) for pairs in obj["searches"]]
+            grid = TriGrid(json_int(obj["n"], "n"))
+            budget = json_int(obj["budget"], "budget")
+            searches = [VertexSet.from_pairs(grid, pairs) for pairs in obj["searches"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceError(f"malformed search trace: {exc}") from exc
         trace = cls.from_searches(grid, budget, searches)
@@ -277,6 +277,8 @@ def exact_inspection_number(grid: TriGrid, max_m: int) -> int | None:
     """Least per-turn budget that clears T_n, or None past max_m (n <= 4)."""
     if grid.n > EXACT_ORDER_LIMIT:
         raise ValueError(f"exact solving supports n <= {EXACT_ORDER_LIMIT}")
+    if max_m < 1:
+        raise ValueError(f"max_m must be at least 1, got {max_m}")
     for m in range(1, max_m + 1):
         if _clearable_with_budget(grid, m):
             return m
@@ -304,8 +306,8 @@ class BoundsRow:
 def inspection_bounds_report(n_max: int, exact_up_to: int = 1) -> list[BoundsRow]:
     """Per-order bounds: certified lower bound, replayed upper bound,
     and the exact value where the solver is allowed to run."""
-    if n_max > 50:
-        raise ValueError("bounds report supports n_max <= 50")
+    if not 1 <= n_max <= 50:
+        raise ValueError(f"bounds report supports 1 <= n_max <= 50, got {n_max}")
     if exact_up_to > EXACT_ORDER_LIMIT:
         raise ValueError(f"exact solving supports n <= {EXACT_ORDER_LIMIT}")
     rows = []

@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from trigrid.cli import (
+    COMMANDS,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -10,6 +12,7 @@ from trigrid.cli import (
     Report,
     RunConfig,
     _emit,
+    build_parser,
     dispatch,
     main,
 )
@@ -184,3 +187,68 @@ def test_verification_failure_exit_code():
 def test_dispatch_unknown_command():
     with pytest.raises(ValueError):
         dispatch(RunConfig(command="nope", params={}))
+
+
+def _leaf_commands(parser, prefix=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return {" ".join(prefix)}
+    return {
+        leaf
+        for name, sub in subparsers[0].choices.items()
+        for leaf in _leaf_commands(sub, prefix + (name,))
+    }
+
+
+def test_command_table_matches_parser():
+    assert _leaf_commands(build_parser()) == set(COMMANDS)
+
+
+# The column sweep of T_2 as a lion trace file: it clears, so it couples.
+T2_SWEEP = {
+    "n": 2,
+    "lions": 3,
+    "start": [[0, 0], [0, 1], [0, 2]],
+    "moves": [[[0, [1, 0]]], [[1, [1, 1]]], [[0, [2, 0]]]],
+}
+
+
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        ([[1.5, 0]], ["compress", "--n", "3", "--axis", "1", "--side", "left", "--set"]),
+        ([[True, 0]], ["render", "--n", "2", "--set"]),
+        ({k: v for k, v in T2_SWEEP.items() if k != "moves"}, ["lions", "couple", "--trace"]),
+        ({**T2_SWEEP, "n": 2.9}, ["lions", "couple", "--trace"]),
+    ],
+)
+def test_malformed_input_file_is_usage_error(tmp_path, capsys, content, argv):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-isoperimetry", "--n", "4", "--samples", "0"],
+        ["verify-isoperimetry", "--n", "4", "--samples", "-5"],
+        ["search", "bounds", "--n-max", "0"],
+        ["search", "exact", "--n", "2", "--max-m", "-1"],
+        ["lions", "exact", "--n", "1", "--max-l", "0"],
+    ],
+)
+def test_nothing_to_check_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert "at least 1" in err or "1 <= n_max" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "100000"])
+def test_threads_out_of_range_is_usage_error(capsys, threads):
+    # render never opens a process pool, so a broken check starts no processes
+    code, out, err = run(capsys, "render", "--n", "1", "--threads", threads)
+    assert code == EXIT_USAGE and out == ""
+    assert "--threads" in err

@@ -207,6 +207,9 @@ def test_vertex_set_serialization_round_trips():
     g = TriGrid(4)
     a = g.set_of([(2, 1), (0, 0), (0, 4)])
     assert VertexSet.from_pairs(g, a.to_pairs()) == a
+    for bad in ([[1.5, 0]], [[True, 0]], [[0, "1"]], [[0, 0, 0]], [0, 0], {"0": 0}):
+        with pytest.raises(ValueError):
+            VertexSet.from_pairs(g, bad)
     assert VertexSet.from_hex(g, a.to_hex()) == a
     # pairs come out sorted row-major
     assert a.to_pairs() == sorted(a.to_pairs(), key=lambda p: (p[1], p[0]))

@@ -66,6 +66,8 @@ def test_exhaustive_refuses_large_orders():
         exhaustive_min_boundary(TriGrid(6))
     with pytest.raises(ValueError):
         exhaustive_min_boundary(TriGrid(7), limit=6)
+    with pytest.raises(ValueError, match="workers"):
+        exhaustive_min_boundary(TriGrid(2), workers=0)
 
 
 def test_exhaustive_sharded_merge_matches():
@@ -108,8 +110,10 @@ def test_sampled_check_deterministic():
 
 
 def test_sampled_check_zero_samples():
-    rep = sampled_check(TriGrid(4), 0, seed=1)
-    assert rep.ok and rep.checked == 0 and rep.min_slack is None
+    # a check with nothing to check has no verdict, so it refuses to run
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples"):
+            sampled_check(TriGrid(4), samples, seed=1)
 
 
 def test_sampled_check_t9_clean():

@@ -6,6 +6,7 @@ import pytest
 from trigrid import (
     Coord,
     LionTrace,
+    TraceError,
     TriGrid,
     claim_check,
     column_sweep_strategy,
@@ -171,6 +172,26 @@ def test_lion_trace_json_round_trip():
     assert back.is_winning()
     obj["lions"] = 5
     with pytest.raises(ValueError):
+        LionTrace.from_json_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"moves": None},
+        {"n": 2.9},
+        {"lions": 3.0},
+        {"start": [[0, 0], [0.0, 1], [0, 2]]},
+        {"start": [[0, 0], [0, 1, 0], [0, 2]]},
+        {"moves": [[[0, [1.5, 0]]]]},
+        {"moves": [[[True, [1, 0]]]]},
+        {"moves": [[[0, [1, 0], 7]]]},
+    ],
+)
+def test_lion_trace_json_refuses_malformed(edit):
+    obj = json.loads(column_sweep_strategy(TriGrid(2)).to_json())
+    obj = {k: v for k, v in {**obj, **edit}.items() if v is not None}  # None deletes
+    with pytest.raises(TraceError):
         LionTrace.from_json_obj(obj)
 
 

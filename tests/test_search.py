@@ -117,6 +117,16 @@ def test_trace_json_round_trip_and_checksums():
         SearchTrace.from_json_obj({"n": 3, "budget": 5})
 
 
+def test_trace_json_refuses_coercion():
+    obj = json.loads(three_stage_strategy(TriGrid(2)).to_json())
+    for key, value in (("n", 2.9), ("n", True), ("budget", 4.0)):
+        with pytest.raises(TraceError):
+            SearchTrace.from_json_obj({**obj, key: value})
+    bad_search = [[0.0, 1]] + obj["searches"][0][1:]
+    with pytest.raises(TraceError):
+        SearchTrace.from_json_obj({**obj, "searches": [bad_search] + obj["searches"][1:]})
+
+
 def test_exact_solver_matches_unpruned_oracle():
     for n in (1, 2):
         g = TriGrid(n)
