@@ -5,9 +5,18 @@ v1 + v2, with ties broken by the larger first coordinate.  Initial
 segments are the "ice cream cone" packings grown from the (0, 0) corner;
 final segments are the complementary row packings grown from the
 anti-diagonal.
+
+Segments are prefix masks of the simplicial order: for each order n the
+V + 1 bitmasks of the first 0, 1, ..., V vertices are built once, from
+the closed-form rank-to-vertex map, and cached.  The initial segment of
+size k is prefix k; the final segment of size k is the complement of
+prefix V - k.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 from .core import Coord, TriGrid, VertexSet, boundary
 
@@ -24,18 +33,34 @@ def simplicial_rank(grid: TriGrid, v) -> int:
     return triangular(lev) + (lev - v1)
 
 
+def _coord_at(rank: int) -> Coord:
+    """Vertex at a simplicial rank; the order does not depend on n.
+
+    The level is the largest lev with triangular(lev) <= rank.
+    """
+    lev = (math.isqrt(8 * rank + 1) - 1) // 2
+    v2 = rank - triangular(lev)
+    return Coord(lev - v2, v2)
+
+
 def rank_to_coord(grid: TriGrid, rank: int) -> Coord:
     if not 0 <= rank < grid.vertex_count:
         raise ValueError(f"rank {rank} out of range for T_{grid.n}")
-    lev = 0
-    while triangular(lev + 1) <= rank:
-        lev += 1
-    v1 = lev - (rank - triangular(lev))
-    return Coord(v1, lev - v1)
+    return _coord_at(rank)
 
 
 def simplicial_order(grid: TriGrid) -> list[Coord]:
-    return [rank_to_coord(grid, r) for r in range(grid.vertex_count)]
+    return [_coord_at(r) for r in range(grid.vertex_count)]
+
+
+@functools.cache
+def _prefix_masks(n: int) -> tuple[int, ...]:
+    """Bitmasks of the first 0, 1, ..., V vertices of T_n's simplicial order."""
+    grid = TriGrid(n)
+    masks = [0]
+    for r in range(grid.vertex_count):
+        masks.append(masks[-1] | 1 << grid.index(_coord_at(r)))
+    return tuple(masks)
 
 
 def rank_sum(grid: TriGrid, a: VertexSet) -> int:
@@ -52,14 +77,14 @@ def _check_size(grid: TriGrid, k: int) -> int:
 def initial_segment(grid: TriGrid, k: int) -> VertexSet:
     """The k lowest-ranked vertices (ice cream cone packing of size k)."""
     _check_size(grid, k)
-    return VertexSet(grid, (rank_to_coord(grid, r) for r in range(k)))
+    return VertexSet.from_bits(grid, _prefix_masks(grid.n)[k])
 
 
 def final_segment(grid: TriGrid, k: int) -> VertexSet:
     """The k highest-ranked vertices (row packing of size k)."""
     _check_size(grid, k)
-    nv = grid.vertex_count
-    return VertexSet(grid, (rank_to_coord(grid, r) for r in range(nv - k, nv)))
+    prefix = _prefix_masks(grid.n)[grid.vertex_count - k]
+    return VertexSet.from_bits(grid, grid.full_mask & ~prefix)
 
 
 def initial_segment_boundary_size(grid: TriGrid, k: int) -> int:

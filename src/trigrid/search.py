@@ -308,6 +308,8 @@ def inspection_bounds_report(n_max: int, exact_up_to: int = 1) -> list[BoundsRow
     and the exact value where the solver is allowed to run."""
     if not 1 <= n_max <= 50:
         raise ValueError(f"bounds report supports 1 <= n_max <= 50, got {n_max}")
+    if exact_up_to < 0:
+        raise ValueError(f"exact_up_to must be at least 0, got {exact_up_to}")
     if exact_up_to > EXACT_ORDER_LIMIT:
         raise ValueError(f"exact solving supports n <= {EXACT_ORDER_LIMIT}")
     rows = []

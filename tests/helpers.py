@@ -66,6 +66,17 @@ def simplicial_sort_oracle(grid: TriGrid) -> list[Coord]:
     return sorted(grid.vertices(), key=lambda v: (v.v1 + v.v2, -v.v1))
 
 
+def segment_oracle(grid: TriGrid, k: int, kind: str) -> set:
+    """The first ("initial") or last ("final") k vertices of the
+    comparator sort, as a plain set of coordinate tuples."""
+    order = [tuple(v) for v in simplicial_sort_oracle(grid)]
+    if kind == "initial":
+        return set(order[:k])
+    if kind == "final":
+        return set(order[len(order) - k:])
+    raise ValueError(f"unknown segment kind {kind!r}")
+
+
 def random_vertex_set(grid: TriGrid, rng) -> VertexSet:
     return VertexSet.from_bits(grid, rng.getrandbits(grid.vertex_count))
 

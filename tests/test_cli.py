@@ -246,6 +246,12 @@ def test_nothing_to_check_is_usage_error(capsys, argv):
     assert "at least 1" in err or "1 <= n_max" in err
 
 
+def test_negative_exact_up_to_is_usage_error(capsys):
+    code, out, err = run(capsys, "search", "bounds", "--n-max", "2", "--exact-up-to", "-5")
+    assert code == EXIT_USAGE and out == ""
+    assert "exact_up_to" in err
+
+
 @pytest.mark.parametrize("threads", ["0", "100000"])
 def test_threads_out_of_range_is_usage_error(capsys, threads):
     # render never opens a process pool, so a broken check starts no processes

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trigrid import (
     TriGrid,
@@ -17,7 +18,7 @@ from trigrid import (
     triangular,
 )
 
-from helpers import simplicial_sort_oracle
+from helpers import boundary_oracle, segment_oracle, simplicial_sort_oracle
 
 
 def test_rank_table_t2():
@@ -63,6 +64,39 @@ def test_segment_complement_identity_and_nesting():
             assert final_segment(g, k) == initial_segment(g, nv - k).complement()
         for k in range(nv):
             assert initial_segment(g, k).issubset(initial_segment(g, k + 1))
+
+
+def test_segments_and_packing_minimum_match_oracle():
+    for n in range(1, 9):
+        g = TriGrid(n)
+        for k in range(g.vertex_count + 1):
+            init = segment_oracle(g, k, "initial")
+            final = segment_oracle(g, k, "final")
+            assert {tuple(v) for v in initial_segment(g, k)} == init
+            assert {tuple(v) for v in final_segment(g, k)} == final
+            assert packing_minimum(g, k) == min(
+                len(boundary_oracle(g, init)), len(boundary_oracle(g, final))
+            )
+
+
+@st.composite
+def _order_and_size(draw):
+    g = TriGrid(draw(st.integers(1, 60)))
+    return g, draw(st.integers(0, g.vertex_count))
+
+
+@settings(deadline=None)
+@given(_order_and_size())
+def test_segment_properties(case):
+    g, k = case
+    nv = g.vertex_count
+    init, final = initial_segment(g, k), final_segment(g, k)
+    assert len(init) == len(final) == k
+    assert final == initial_segment(g, nv - k).complement()
+    for v in g.vertices():
+        rank = simplicial_rank(g, v)
+        assert (v in init) == (rank < k)
+        assert (v in final) == (rank >= nv - k)
 
 
 def test_initial_closed_form_matches_direct():

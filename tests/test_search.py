@@ -168,6 +168,22 @@ def test_certificate_consistent_with_solver():
                 assert val > m
 
 
+# The certified `lower` column of `search bounds --n-max 50`.
+CERTIFIED_LOWER = [
+    2, 2, 3, 4, 5, 5, 6, 7, 7, 8, 9, 10, 10, 11, 12, 12, 13, 14, 14, 15,
+    16, 17, 17, 18, 19, 19, 20, 21, 22, 22, 23, 24, 24, 25, 26, 27, 27, 28, 29, 29,
+    30, 31, 31, 32, 33, 34, 34, 35, 36, 36,
+]
+
+
+def test_certified_lower_column_up_to_50():
+    lower = [
+        max(m for m in range(n + 2) if lower_bound_certificate(TriGrid(n), m))
+        for n in range(1, 51)
+    ]
+    assert lower == CERTIFIED_LOWER
+
+
 def test_bounds_report_rows():
     rows = inspection_bounds_report(6, exact_up_to=1)
     assert [r.n for r in rows] == [1, 2, 3, 4, 5, 6]
@@ -180,3 +196,5 @@ def test_bounds_report_rows():
     assert rows[1].exact is None
     with pytest.raises(ValueError):
         inspection_bounds_report(51)
+    with pytest.raises(ValueError):
+        inspection_bounds_report(2, exact_up_to=-5)
