@@ -6,16 +6,14 @@ segments are the "ice cream cone" packings grown from the (0, 0) corner;
 final segments are the complementary row packings grown from the
 anti-diagonal.
 
-Segments are prefix masks of the simplicial order: for each order n the
-V + 1 bitmasks of the first 0, 1, ..., V vertices are built once, from
-the closed-form rank-to-vertex map, and cached.  The initial segment of
-size k is prefix k; the final segment of size k is the complement of
-prefix V - k.
+Segments are prefix masks of the simplicial order, built row by row from
+the closed-form rank-to-vertex map: the first k vertices fill a left-aligned
+run of each row, so the mask takes one shifted run per row it touches.  The
+final segment of size k is the complement of the first V - k vertices.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .core import Coord, TriGrid, VertexSet, boundary
@@ -53,14 +51,21 @@ def simplicial_order(grid: TriGrid) -> list[Coord]:
     return [_coord_at(r) for r in range(grid.vertex_count)]
 
 
-@functools.cache
-def _prefix_masks(n: int) -> tuple[int, ...]:
-    """Bitmasks of the first 0, 1, ..., V vertices of T_n's simplicial order."""
-    grid = TriGrid(n)
-    masks = [0]
-    for r in range(grid.vertex_count):
-        masks.append(masks[-1] | 1 << grid.index(_coord_at(r)))
-    return tuple(masks)
+def _prefix_bits(grid: TriGrid, k: int) -> int:
+    """Bitmask of the first k vertices of the simplicial order.
+
+    With (v1, j) the vertex at rank k and lev = v1 + j, the first k
+    vertices are the levels below lev plus the first j vertices of level
+    lev, so row r < lev holds columns 0 .. lev - r - 1, and column
+    lev - r too when r < j.  k = V gives lev = n + 1, j = 0: every row.
+    """
+    v1, j = _coord_at(k)
+    lev = v1 + j
+    offs = grid._row_offset
+    bits = 0
+    for r in range(min(lev, grid.n + 1)):
+        bits |= ((1 << (lev - r + (r < j))) - 1) << offs[r]
+    return bits
 
 
 def rank_sum(grid: TriGrid, a: VertexSet) -> int:
@@ -77,13 +82,13 @@ def _check_size(grid: TriGrid, k: int) -> int:
 def initial_segment(grid: TriGrid, k: int) -> VertexSet:
     """The k lowest-ranked vertices (ice cream cone packing of size k)."""
     _check_size(grid, k)
-    return VertexSet.from_bits(grid, _prefix_masks(grid.n)[k])
+    return VertexSet.from_bits(grid, _prefix_bits(grid, k))
 
 
 def final_segment(grid: TriGrid, k: int) -> VertexSet:
     """The k highest-ranked vertices (row packing of size k)."""
     _check_size(grid, k)
-    prefix = _prefix_masks(grid.n)[grid.vertex_count - k]
+    prefix = _prefix_bits(grid, grid.vertex_count - k)
     return VertexSet.from_bits(grid, grid.full_mask & ~prefix)
 
 
