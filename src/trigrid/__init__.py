@@ -8,7 +8,6 @@ from .core import (
     boundary,
     interior_boundary,
     neighborhood,
-    neighbors,
     render_ascii,
 )
 from .ordering import (

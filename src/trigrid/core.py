@@ -8,6 +8,8 @@ anti-diagonal v1 + v2 = n.  Edges join vertices differing by (+-1, 0),
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 # Canonical neighbor order: clockwise, starting from (v1+1, v2).
@@ -61,25 +63,35 @@ class TriGrid:
         v1, v2 = v
         return v1 >= 0 and v2 >= 0 and v1 + v2 <= self.n
 
+    def _vertex(self, v) -> tuple[int, int]:
+        """A vertex as a pair of ints; non-integers and non-vertices raise.
+
+        Coordinates are read with operator.index: Python and numpy integers
+        pass, floats and strings raise ValueError instead of truncating.
+        """
+        v1, v2 = v
+        try:
+            v1, v2 = operator.index(v1), operator.index(v2)
+        except TypeError:
+            raise ValueError(f"{tuple(v)} is not a pair of integers") from None
+        if v1 < 0 or v2 < 0 or v1 + v2 > self.n:
+            raise ValueError(f"{tuple(v)} is not a vertex of T_{self.n}")
+        return v1, v2
+
     def check(self, v) -> Coord:
         """Validate a coordinate pair and return it as a Coord."""
-        if not self.contains(v):
-            raise ValueError(f"{tuple(v)} is not a vertex of T_{self.n}")
-        return Coord(int(v[0]), int(v[1]))
+        return Coord._make(self._vertex(v))
 
     def index(self, v) -> int:
         """Dense id of a vertex: row offset plus column."""
-        v1, v2 = self.check(v)
+        v1, v2 = self._vertex(v)
         return self._row_offset[v2] + v1
 
     def coord(self, i: int) -> Coord:
         if not 0 <= i < self.vertex_count:
             raise ValueError(f"dense id {i} out of range for T_{self.n}")
-        # Rows are short (<= n+1); linear scan is fine for lookups.
-        for r in range(self.n, -1, -1):
-            if i >= self._row_offset[r]:
-                return Coord(i - self._row_offset[r], r)
-        raise AssertionError
+        r = bisect_right(self._row_offset, i) - 1
+        return Coord(i - self._row_offset[r], r)
 
     def vertices(self) -> Iterator[Coord]:
         for r in range(self.n + 1):
@@ -168,22 +180,31 @@ class VertexSet:
 
     def to_pairs(self) -> list[list[int]]:
         """JSON form: [v1, v2] pairs sorted by dense id (row-major)."""
-        return [[v.v1, v.v2] for v in self]
+        return [[v1, v2] for v1, v2 in self]
 
     @classmethod
     def from_pairs(cls, grid: TriGrid, pairs) -> "VertexSet":
-        """Inverse of to_pairs, decoding strictly (see coords_from_json)."""
-        return cls(grid, coords_from_json(pairs))
+        """Inverse of to_pairs, decoding as strictly as coords_from_json."""
+        bits = 0
+        for p in _json_list(pairs):
+            bits |= 1 << grid.index(_json_pair(p))
+        return cls.from_bits(grid, bits)
 
     def __contains__(self, v) -> bool:
         return bool(self.bits >> self.grid.index(v) & 1)
 
     def __iter__(self) -> Iterator[Coord]:
+        """Members in dense-id order, decoded one row word at a time."""
         bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield self.grid.coord(low.bit_length() - 1)
-            bits ^= low
+        for r, mask in enumerate(self.grid._row_mask):
+            if not bits:
+                return
+            word = bits & mask
+            bits >>= mask.bit_length()
+            while word:
+                low = word & -word
+                yield Coord(low.bit_length() - 1, r)
+                word ^= low
 
     def __len__(self) -> int:
         return self._size
@@ -247,6 +268,18 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def _json_list(pairs) -> list:
+    if not isinstance(pairs, (list, tuple)):
+        raise ValueError(f"expected a list of [v1, v2] pairs, got {pairs!r}")
+    return pairs
+
+
+def _json_pair(p) -> tuple[int, int]:
+    if not isinstance(p, (list, tuple)) or len(p) != 2:
+        raise ValueError(f"expected a [v1, v2] pair, got {p!r}")
+    return json_int(p[0], "v1"), json_int(p[1], "v2")
+
+
 def coords_from_json(pairs) -> list[Coord]:
     """Decode a JSON list of [v1, v2] pairs without coercion.
 
@@ -254,19 +287,7 @@ def coords_from_json(pairs) -> list[Coord]:
     (1.5, true, a triple, a bare number) raises ValueError.  Grid
     membership is left to the caller's TriGrid.
     """
-    if not isinstance(pairs, (list, tuple)):
-        raise ValueError(f"expected a list of [v1, v2] pairs, got {pairs!r}")
-    out = []
-    for p in pairs:
-        if not isinstance(p, (list, tuple)) or len(p) != 2:
-            raise ValueError(f"expected a [v1, v2] pair, got {p!r}")
-        out.append(Coord(json_int(p[0], "v1"), json_int(p[1], "v2")))
-    return out
-
-
-def neighbors(grid: TriGrid, v) -> list[Coord]:
-    """Neighbors of v in the canonical clockwise order."""
-    return grid.neighbors(v)
+    return [Coord._make(_json_pair(p)) for p in _json_list(pairs)]
 
 
 def automorphism_id_permutations(grid: TriGrid) -> list[tuple[int, ...]]:

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .core import (
+    NEIGHBOR_OFFSETS,
     Coord,
     TriGrid,
     VertexSet,
@@ -27,6 +29,7 @@ from .core import (
 from .search import SearchTrace, TraceError
 
 EXACT_ORDER_LIMIT = 2
+_STEPS = frozenset(NEIGHBOR_OFFSETS)
 
 
 def _edge_key(a: int, b: int) -> tuple[int, int]:
@@ -51,6 +54,69 @@ def _block_traversed(base: int, cont: int, traversed: set, nbr_ids) -> int:
     return base
 
 
+def _mask(ids) -> int:
+    bits = 0
+    for i in ids:
+        bits |= 1 << i
+    return bits
+
+
+def _legal_moves(grid: TriGrid, positions: Sequence[Coord], turn) -> list[tuple[int, Coord]]:
+    """The (lion, destination) pairs of a turn that change a lion's vertex.
+
+    positions are the lions' checked vertices.  A lion index out of range
+    or named twice, a destination off the grid and a move along a non-edge
+    raise ValueError; a destination of None or the lion's own vertex stays.
+    """
+    named = set()
+    moves = []
+    for idx, dest in turn:
+        try:
+            idx = operator.index(idx)
+        except TypeError:
+            raise ValueError(f"lion index {idx!r} is not an integer") from None
+        if not 0 <= idx < len(positions):
+            raise ValueError(f"lion index {idx} out of range")
+        if idx in named:
+            raise ValueError(f"lion {idx} is named twice in one turn")
+        named.add(idx)
+        if dest is None:
+            continue
+        dest = grid.check(dest)
+        prev = positions[idx]
+        if dest == prev:
+            continue
+        if (dest.v1 - prev.v1, dest.v2 - prev.v2) not in _STEPS:
+            raise ValueError(f"illegal lion move {tuple(prev)} -> {tuple(dest)}")
+        moves.append((idx, dest))
+    return moves
+
+
+def _turn(
+    grid: TriGrid, positions: tuple[Coord, ...], ids: list[int], turn, cont: int
+) -> tuple[tuple[Coord, ...], int]:
+    """Validate and play one turn: the new positions and contamination bits.
+
+    Past validation the turn runs on dense ids: ids (one per lion, in step
+    with positions) is updated in place and cont is a bitmask.
+    """
+    moves = _legal_moves(grid, positions, turn)
+    moved = list(positions)
+    traversed = set()
+    for idx, dest in moves:
+        moved[idx] = dest
+        dest_id = grid.index(dest)
+        traversed.add(_edge_key(ids[idx], dest_id))
+        ids[idx] = dest_id
+    base = _block_traversed(
+        cont | grid.spread_bits(cont),
+        cont,
+        traversed,
+        lambda v: [grid.index(u) for u in grid.neighbors(grid.coord(v))],
+    )
+    return tuple(moved), base & ~_mask(ids)
+
+
 def lion_step(
     grid: TriGrid,
     positions: Sequence[Coord],
@@ -65,30 +131,10 @@ def lion_step(
     """
     if len(dests) != len(positions):
         raise ValueError("one destination entry per lion required")
-    new_positions = []
-    traversed: set[tuple[int, int]] = set()
-    for prev, dest in zip(positions, dests):
-        prev = grid.check(prev)
-        if dest is None or tuple(dest) == tuple(prev):
-            new_positions.append(prev)
-            continue
-        dest = grid.check(dest)
-        if dest not in grid.neighbors(prev):
-            raise ValueError(f"illegal lion move {tuple(prev)} -> {tuple(dest)}")
-        new_positions.append(dest)
-        traversed.add(_edge_key(grid.index(prev), grid.index(dest)))
-    occupied = 0
-    for v in new_positions:
-        occupied |= 1 << grid.index(v)
-    cont = contaminated.bits
-    base = _block_traversed(
-        cont | grid.spread_bits(cont),
-        cont,
-        traversed,
-        lambda v: (grid.index(u) for u in grid.neighbors(grid.coord(v))),
-    )
-    new_cont = VertexSet.from_bits(grid, base & ~occupied)
-    return tuple(new_positions), new_cont
+    positions = tuple(grid.check(v) for v in positions)
+    ids = [grid.index(v) for v in positions]
+    new_positions, cont = _turn(grid, positions, ids, enumerate(dests), contaminated.bits)
+    return new_positions, VertexSet.from_bits(grid, cont)
 
 
 Turn = list[tuple[int, Optional[Coord]]]
@@ -122,22 +168,15 @@ class LionTrace:
         cls, grid: TriGrid, start: Sequence[Coord], turns: list[Turn]
     ) -> "LionTrace":
         start = tuple(grid.check(v) for v in start)
-        trace = cls(grid=grid, start=start, turns=turns)
-        occupied = VertexSet(grid, start)
+        ids = [grid.index(v) for v in start]
+        cont = grid.full_mask & ~_mask(ids)
         positions = [start]
-        contaminated = [occupied.complement()]
+        contaminated = [VertexSet.from_bits(grid, cont)]
         for turn in turns:
-            dests: list[Optional[Coord]] = [None] * len(start)
-            for idx, dest in turn:
-                if not 0 <= idx < len(start):
-                    raise ValueError(f"lion index {idx} out of range")
-                dests[idx] = None if dest is None else grid.check(dest)
-            pos, cont = lion_step(grid, positions[-1], dests, contaminated[-1])
+            pos, cont = _turn(grid, positions[-1], ids, turn, cont)
             positions.append(pos)
-            contaminated.append(cont)
-        trace.positions = positions
-        trace.contaminated = contaminated
-        return trace
+            contaminated.append(VertexSet.from_bits(grid, cont))
+        return cls(grid, start, turns, positions, contaminated)
 
     def is_winning(self) -> bool:
         return not self.contaminated[-1]
@@ -173,9 +212,9 @@ class LionTrace:
                 ]
                 for raw_turn in obj["moves"]
             ]
+            return cls.from_moves(grid, start, turns)
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceError(f"malformed lion trace: {exc}") from exc
-        return cls.from_moves(grid, start, turns)
 
 
 def column_sweep_strategy(grid: TriGrid) -> LionTrace:
@@ -197,9 +236,10 @@ def column_sweep_strategy(grid: TriGrid) -> LionTrace:
 def coupled_searches(trace: LionTrace) -> list[VertexSet]:
     """Search schedule P(k-1) | P(k) (turn 0 searches the start positions)."""
     grid = trace.grid
-    searches = [VertexSet(grid, trace.positions[0])]
-    for prev, cur in zip(trace.positions, trace.positions[1:]):
-        searches.append(VertexSet(grid, set(prev) | set(cur)))
+    masks = [_mask(map(grid.index, pos)) for pos in trace.positions]
+    searches = [VertexSet.from_bits(grid, masks[0])]
+    for prev, cur in zip(masks, masks[1:]):
+        searches.append(VertexSet.from_bits(grid, prev | cur))
     return searches
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Coord, TriGrid, VertexSet, automorphism_id_permutations, json_int
+from .core import TriGrid, VertexSet, automorphism_id_permutations, json_int
 from .isoperimetry import lower_bound_certificate
 
 EXACT_ORDER_LIMIT = 4
@@ -128,12 +128,21 @@ def verify_trace(grid: TriGrid, trace: SearchTrace) -> bool:
     return not dirty
 
 
-def _row_window(grid: TriGrid, row: int, lo: int, hi: int) -> list[Coord]:
-    return [Coord(x, row) for x in range(max(lo, 0), min(hi, grid.n - row) + 1)]
+def _row_window(grid: TriGrid, row: int, lo: int, hi: int) -> int:
+    """Columns lo..hi of a row, clipped to the grid: one shifted run of bits."""
+    lo, hi = max(lo, 0), min(hi, grid.n - row)
+    if hi < lo:
+        return 0
+    return ((1 << (hi - lo + 1)) - 1) << (grid._row_offset[row] + lo)
 
 
-def _col_window(grid: TriGrid, col: int, lo: int, hi: int) -> list[Coord]:
-    return [Coord(col, y) for y in range(max(lo, 0), min(hi, grid.n - col) + 1)]
+def _col_window(grid: TriGrid, col: int, lo: int, hi: int) -> int:
+    """Rows lo..hi of a column, clipped to the grid, as a mask."""
+    offs = grid._row_offset
+    bits = 0
+    for y in range(max(lo, 0), min(hi, grid.n - col) + 1):
+        bits |= 1 << (offs[y] + col)
+    return bits
 
 
 def three_stage_strategy(grid: TriGrid) -> SearchTrace:
@@ -151,18 +160,18 @@ def three_stage_strategy(grid: TriGrid) -> SearchTrace:
     k = sweep_budget(n)
     searches: list[VertexSet] = []
 
-    def emit(coords):
-        searches.append(VertexSet(grid, coords))
+    def emit(bits):
+        searches.append(VertexSet.from_bits(grid, bits))
 
     if k >= grid.vertex_count:
-        emit(grid.vertices())
+        emit(grid.full_mask)
         return SearchTrace.from_searches(grid, k, searches)
 
     def row_phase(row):
         # Turn j searches the still-dirty suffix of the row and a growing
         # prefix of the row below; the final turn covers that row entirely.
         for j in range(1, n - row + 2):
-            emit(_row_window(grid, row, j - 1, n - row) + _row_window(grid, row - 1, 0, j))
+            emit(_row_window(grid, row, j - 1, n - row) | _row_window(grid, row - 1, 0, j))
 
     if k >= n + 2:
         for row in range(n, 0, -1):
@@ -176,13 +185,15 @@ def three_stage_strategy(grid: TriGrid) -> SearchTrace:
 
     # Stage 2: the L-chain runs along row q from x=2q down to x=q+1, then
     # down column q from y=q to y=0; R_m is the left q-prefix of row q+1-m.
-    chain = [Coord(2 * q + 1 - j, q) for j in range(1, q + 1)]
-    chain += [Coord(q, q - t) for t in range(q + 1)]
+    chain = [grid.index((2 * q + 1 - j, q)) for j in range(1, q + 1)]
+    chain += [grid.index((q, q - t)) for t in range(q + 1)]
     for j in range(1, q + 1):
-        window = chain[j - 1 : j + q + 1]
+        window = 0
+        for i in chain[j - 1 : j + q + 1]:
+            window |= 1 << i
         r_j = _row_window(grid, q + 1 - j, 0, q - 1)
         r_next = _row_window(grid, q - j, 0, q - 1)
-        emit(set(window) | set(r_j) | set(r_next))
+        emit(window | r_j | r_next)
 
     for col in range(q, n):
         size = n - col + 1
@@ -191,7 +202,7 @@ def three_stage_strategy(grid: TriGrid) -> SearchTrace:
         for j in range(1, size):
             emit(
                 _col_window(grid, col, 0, size - j)
-                + _col_window(grid, col + 1, size - 1 - j, size - 2)
+                | _col_window(grid, col + 1, size - 1 - j, size - 2)
             )
     return SearchTrace.from_searches(grid, k, searches)
 

@@ -220,6 +220,15 @@ T2_SWEEP = {
         ([[True, 0]], ["render", "--n", "2", "--set"]),
         ({k: v for k, v in T2_SWEEP.items() if k != "moves"}, ["lions", "couple", "--trace"]),
         ({**T2_SWEEP, "n": 2.9}, ["lions", "couple", "--trace"]),
+        ({**T2_SWEEP, "start": [[3, 3], [0, 1], [0, 2]]}, ["lions", "couple", "--trace"]),
+        ({**T2_SWEEP, "moves": [[[0, [3, 3]]]]}, ["lions", "couple", "--trace"]),
+        ({**T2_SWEEP, "moves": [[[0, [2, 0]]]]}, ["lions", "couple", "--trace"]),
+        ({**T2_SWEEP, "moves": [[[7, [1, 0]]]]}, ["lions", "couple", "--trace"]),
+        # a winning schedule, but lion 0 is named twice on its first turn
+        (
+            {**T2_SWEEP, "moves": [[[0, [1, 0]], [0, [1, 0]]], *T2_SWEEP["moves"][1:]]},
+            ["lions", "couple", "--trace"],
+        ),
     ],
 )
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, content, argv):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from trigrid import (
@@ -10,7 +11,6 @@ from trigrid import (
     boundary,
     interior_boundary,
     neighborhood,
-    neighbors,
     render_ascii,
 )
 
@@ -31,13 +31,16 @@ def test_rejects_order_zero():
 
 
 def test_vertex_count_and_index_bijection():
-    for n in range(1, 9):
+    for n in (*range(1, 9), 13, 60):
         g = TriGrid(n)
         assert g.vertex_count == (n + 1) * (n + 2) // 2
         ids = [g.index(v) for v in g.vertices()]
         assert sorted(ids) == list(range(g.vertex_count))
         for i in range(g.vertex_count):
             assert g.index(g.coord(i)) == i
+        for bad in (-1, g.vertex_count):
+            with pytest.raises(ValueError):
+                g.coord(bad)
 
 
 def test_invalid_coordinates_raise():
@@ -49,10 +52,39 @@ def test_invalid_coordinates_raise():
             g.neighbors(bad)
 
 
+NON_INTEGRAL = [(2.9, 0), (1.5, 0), (0, 1.0), ("1", 0), (0.9, 0.2)]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGRAL)
+def test_check_refuses_non_integral_coordinates(bad):
+    with pytest.raises(ValueError, match="integers"):
+        TriGrid(3).check(bad)
+
+
+@pytest.mark.parametrize("bad", NON_INTEGRAL)
+def test_index_refuses_non_integral_coordinates(bad):
+    with pytest.raises(ValueError, match="integers"):
+        TriGrid(3).index(bad)
+
+
+@pytest.mark.parametrize("bad", NON_INTEGRAL)
+def test_vertex_set_refuses_non_integral_coordinates(bad):
+    with pytest.raises(ValueError, match="integers"):
+        VertexSet(TriGrid(3), [(0, 0), bad])
+
+
+def test_numpy_integer_coordinates_accepted():
+    g = TriGrid(3)
+    v = (np.int64(2), np.int32(1))
+    assert g.check(v) == Coord(2, 1) and type(g.check(v).v1) is int
+    assert g.index(v) == g.index((2, 1))
+    assert VertexSet(g, [v]) == g.set_of([(2, 1)])
+
+
 def test_neighbor_examples():
     g = TriGrid(2)
-    assert set(map(tuple, neighbors(g, (0, 0)))) == {(1, 0), (0, 1)}
-    assert set(map(tuple, neighbors(g, (1, 0)))) == {(0, 0), (2, 0), (1, 1), (0, 1)}
+    assert set(map(tuple, g.neighbors((0, 0)))) == {(1, 0), (0, 1)}
+    assert set(map(tuple, g.neighbors((1, 0)))) == {(0, 0), (2, 0), (1, 1), (0, 1)}
 
 
 def test_canonical_neighbor_order_clockwise_from_east():
@@ -215,6 +247,23 @@ def test_vertex_set_serialization_round_trips():
     assert a.to_pairs() == sorted(a.to_pairs(), key=lambda p: (p[1], p[0]))
     with pytest.raises(ValueError):
         VertexSet.from_bits(g, 1 << g.vertex_count)
+
+
+def test_iteration_and_pairs_in_row_major_order():
+    rng = random.Random(41)
+    for n in (1, 2, 5, 13, 30):
+        g = TriGrid(n)
+        sets = [g.empty_set(), g.full_set()]
+        for _ in range(20):
+            sets.append(random_vertex_set(g, rng))
+            # sparse sets end early, on any row
+            sparse = rng.getrandbits(g.vertex_count) & rng.getrandbits(g.vertex_count)
+            sets.append(VertexSet.from_bits(g, sparse & rng.getrandbits(g.vertex_count)))
+        for a in sets:
+            members = [tuple(v) for v in a]
+            assert members == sorted(members, key=lambda v: (v[1], v[0]))
+            assert members == [tuple(v) for v in g.vertices() if v in a]
+            assert a.to_pairs() == [list(v) for v in members]
 
 
 def test_render_ascii_layout():

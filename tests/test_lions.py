@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -18,7 +19,12 @@ from trigrid import (
     verify_trace,
 )
 
-from helpers import lions_clearable_oracle
+from helpers import adjacency_oracle, lions_clearable_oracle
+
+# Digests of the column sweep as first replayed from coordinates; the
+# id-level replay must reproduce it bit for bit.
+COLUMN_SWEEP_SHA256 = "75a9f94e031d501850a25371c16691851711d16ba1072b684302ece743ccc76c"
+COLUMN_SWEEP_T10_JSON_SHA256 = "7aa1410ec1909fe43e6b787d1be86186d378b9375b264b8a8fe3ed0607c95310"
 
 
 def test_lion_step_t2_worked_panels():
@@ -47,6 +53,70 @@ def test_lion_step_validation():
         lion_step(g, (Coord(0, 0),), [Coord(2, 0)], g.empty_set())
     with pytest.raises(ValueError):
         lion_step(g, (Coord(0, 0),), [], g.empty_set())
+
+
+def test_lion_step_raises_exactly_on_non_edges():
+    g = TriGrid(3)
+    adj = adjacency_oracle(g)
+    cont = g.set_of([(3, 0), (0, 3)])
+    for v in g.vertices():
+        for d1 in range(-2, 3):
+            for d2 in range(-2, 3):
+                dest = (v.v1 + d1, v.v2 + d2)
+                if dest == tuple(v) or dest in adj[tuple(v)]:
+                    pos, _ = lion_step(g, (v,), [dest], cont)
+                    assert pos == (dest,)
+                else:
+                    with pytest.raises(ValueError):
+                        lion_step(g, (v,), [dest], cont)
+
+
+def test_lion_moves_refuse_non_integral_coordinates():
+    g = TriGrid(3)
+    for dest in [(1.0, 0), (0.0, 0), (1, 0.5), ("1", 0)]:
+        with pytest.raises(ValueError, match="integers"):
+            lion_step(g, (Coord(0, 0),), [dest], g.empty_set())
+        with pytest.raises(ValueError, match="integers"):
+            LionTrace.from_moves(g, [(0, 0)], [[(0, dest)]])
+    with pytest.raises(ValueError, match="integers"):
+        LionTrace.from_moves(g, [(0.0, 0)], [])
+    with pytest.raises(ValueError, match="integer"):
+        LionTrace.from_moves(g, [(0, 0)], [[(0.0, (1, 0))]])
+
+
+@pytest.mark.parametrize("turn", [[(0, (1, 0)), (0, (0, 1))], [(0, None), (0, (1, 0))]])
+def test_lion_named_twice_in_a_turn_raises(turn):
+    with pytest.raises(ValueError, match="twice"):
+        LionTrace.from_moves(TriGrid(3), [(0, 0)], [turn])
+
+
+def test_from_moves_matches_lion_step_replay():
+    rng = random.Random(33)
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        g = TriGrid(n)
+        tr = random_legal_walk(g, rng.randrange(1, n + 3), rng.randrange(0, 12), rng)
+        pos, cont = tr.positions[0], tr.contaminated[0]
+        for k, turn in enumerate(tr.turns, 1):
+            dests = [None] * tr.lions
+            for idx, dest in turn:
+                dests[idx] = dest
+            pos, cont = lion_step(g, pos, dests, cont)
+            assert pos == tr.positions[k] and cont == tr.contaminated[k]
+
+
+def test_column_sweep_states_pinned():
+    h = hashlib.sha256()
+    for n in (1, 2, 3, 4, 5, 10, 40):
+        tr = column_sweep_strategy(TriGrid(n))
+        for pos, cont in zip(tr.positions, tr.contaminated):
+            h.update(f"{n} {[list(p) for p in pos]} {cont.to_hex()}\n".encode())
+    assert h.hexdigest() == COLUMN_SWEEP_SHA256
+
+
+def test_column_sweep_trace_json_bytes_pinned():
+    text = column_sweep_strategy(TriGrid(10)).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == COLUMN_SWEEP_T10_JSON_SHA256
 
 
 def test_lion_step_vacated_vertex_recontaminated_elsewhere():
@@ -193,6 +263,22 @@ def test_lion_trace_json_refuses_malformed(edit):
     obj = {k: v for k, v in {**obj, **edit}.items() if v is not None}  # None deletes
     with pytest.raises(TraceError):
         LionTrace.from_json_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"start": [[3, 3], [0, 1], [0, 2]]}, "not a vertex"),
+        ({"moves": [[[0, [3, 3]]]]}, "not a vertex"),
+        ({"moves": [[[0, [2, 0]]]]}, "illegal lion move"),
+        ({"moves": [[[7, [1, 0]]]]}, "out of range"),
+        ({"moves": [[[0, [1, 0]], [0, [0, 1]]]]}, "twice"),
+    ],
+)
+def test_lion_trace_json_wraps_illegal_schedules(edit, message):
+    obj = json.loads(column_sweep_strategy(TriGrid(2)).to_json())
+    with pytest.raises(TraceError, match=message):
+        LionTrace.from_json_obj({**obj, **edit})
 
 
 def test_exact_lion_number_t1():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -81,6 +82,26 @@ def test_three_stage_stage2_frame_t5():
     assert {tuple(v) for v in (dirty | s).complement()} == {
         (0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (0, 5),
     }
+
+
+# Digests of the sweep as first built from coordinate lists; the mask
+# construction must reproduce it bit for bit.  Orders 1..12 cover the
+# k >= |V| and k >= n + 2 collapses.
+SWEEP_SEARCHES_SHA256 = "24a2de7deedb716771cffac6981fa9cabe5ce04d2724e07d9a9702f5b4bbfb06"
+SWEEP_T15_JSON_SHA256 = "e6caaad014ef2719ffa517f2b7da835c660ef5fb155b0190501fa6f2b3fe608a"
+
+
+def test_three_stage_searches_pinned():
+    h = hashlib.sha256()
+    for n in (*range(1, 13), 13, 29, 45, 60):
+        for s in three_stage_strategy(TriGrid(n)).searches:
+            h.update(f"{n} {s.to_hex()}\n".encode())
+    assert h.hexdigest() == SWEEP_SEARCHES_SHA256
+
+
+def test_three_stage_trace_json_bytes_pinned():
+    text = three_stage_strategy(TriGrid(15)).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_T15_JSON_SHA256
 
 
 def test_verify_trace_empty_is_false():
