@@ -1,9 +1,14 @@
 """Vectorized batch operations over many vertex subsets at once.
 
 Subsets are rows of a (count, vertex_count) uint8 membership matrix,
-column j = dense id j.  These back the large exhaustive and randomized
-sweeps; the scalar operations in core/compress are the reference
-implementations they are tested against.
+column j = dense id j, nonzero = member.  Each kernel packs its matrix
+once into one uint64 word per grid row (bit c of word r is vertex
+(c, r), the layout of TriGrid.spread_bits), works on those words with
+shifts and np.bitwise_count, and unpacks once when it returns a matrix.
+A grid row holds at most n + 1 vertices, so every kernel refuses n > 63.
+These back the large exhaustive and randomized sweeps; the scalar
+operations in core/compress are the reference implementations they are
+tested against.
 """
 
 from __future__ import annotations
@@ -12,28 +17,137 @@ import numpy as np
 
 from .core import TriGrid
 
-_BLOCK_CELLS = 1 << 22  # soft cap on rows*columns handled per matmul
+ORDER_LIMIT = 63  # the longest row, n + 1 vertices, must fit one uint64 word
+_BLOCK = 1 << 12  # sets per kernel pass
+
+_ONE = np.uint64(1)
+# _SWAP[b] keeps the bit positions c with c & b == 0 (bit-matrix transpose).
+_SWAP = {b: sum(1 << c for c in range(64) if not c & b) for b in (1, 2, 4, 8, 16, 32)}
 
 
-def adjacency_matrix(grid: TriGrid) -> np.ndarray:
+def _check_order(grid: TriGrid) -> None:
+    if grid.n > ORDER_LIMIT:
+        raise ValueError(
+            f"batch kernels hold each grid row in one 64-bit word, so n <= "
+            f"{ORDER_LIMIT}; got T_{grid.n}"
+        )
+
+
+def _blockwise(grid: TriGrid, mat: np.ndarray, kernel) -> np.ndarray:
+    """kernel(row words) over blocks of _BLOCK sets, results concatenated.
+
+    Blocks keep each kernel's words and temporaries in cache.
+    """
+    _check_order(grid)
+    mat = np.asarray(mat)
     nv = grid.vertex_count
-    adj = np.zeros((nv, nv), dtype=np.uint8)
-    for v in grid.vertices():
-        i = grid.index(v)
-        for u in grid.neighbors(v):
-            adj[i, grid.index(u)] = 1
-    return adj
+    if mat.ndim != 2 or mat.shape[1] != nv:
+        raise ValueError(
+            f"expected a (count, {nv}) membership matrix for T_{grid.n}, "
+            f"got shape {mat.shape}"
+        )
+    return np.concatenate(
+        [
+            kernel(_row_words(grid, mat[s : s + _BLOCK]))
+            for s in range(0, max(len(mat), 1), _BLOCK)
+        ]
+    )
+
+
+def _row_words(grid: TriGrid, mat: np.ndarray) -> np.ndarray:
+    """(n + 1, count) uint64: bit c of word r is vertex (c, r) of each set."""
+    nv = grid.vertex_count
+    raw = np.zeros((mat.shape[0], 8 * -(-nv // 64)), dtype=np.uint8)
+    raw[:, : (nv + 7) // 8] = np.packbits(mat, axis=1, bitorder="little")
+    dense = raw.view(np.uint64)
+    words = np.empty((grid.n + 1, mat.shape[0]), dtype=np.uint64)
+    for r, (off, mask) in enumerate(zip(grid._row_offset, grid._row_mask)):
+        q, s = divmod(off, 64)
+        w = dense[:, q] >> s
+        if s + mask.bit_length() > 64:
+            w |= dense[:, q + 1] << (64 - s)
+        words[r] = w & mask
+    return words
+
+
+def _membership(grid: TriGrid, words: np.ndarray) -> np.ndarray:
+    """Inverse of _row_words: the (count, vertex_count) uint8 matrix."""
+    nv = grid.vertex_count
+    dense = np.zeros((words.shape[1], -(-nv // 64)), dtype=np.uint64)
+    for r, (off, mask) in enumerate(zip(grid._row_offset, grid._row_mask)):
+        q, s = divmod(off, 64)
+        dense[:, q] |= words[r] << s
+        if s + mask.bit_length() > 64:
+            dense[:, q + 1] |= words[r] >> (64 - s)
+    return np.unpackbits(dense.view(np.uint8), axis=1, count=nv, bitorder="little")
+
+
+def _spread(grid: TriGrid, words: np.ndarray) -> np.ndarray:
+    """Row-parallel neighbor spread of every set, as TriGrid.spread_bits."""
+    s = words << 1
+    s |= words >> 1
+    s[1:] |= words[:-1]
+    s[1:] |= words[:-1] >> 1
+    s[:-1] |= words[1:]
+    s[:-1] |= words[1:] << 1
+    s &= np.array(grid._row_mask, dtype=np.uint64)[:, None]
+    return s
+
+
+def _transpose(words: np.ndarray) -> np.ndarray:
+    """Swap (v1, v2) -> (v2, v1) in every set: bit c of word r <-> bit r of word c.
+
+    The swap maps T_n onto itself, so columns of the input are the rows
+    of the output.  Standard recursive block transpose on the words
+    padded to a power-of-two square.
+    """
+    rows = len(words)
+    size = 1 << (rows - 1).bit_length()
+    w = np.zeros((size, words.shape[1]), dtype=np.uint64)
+    w[:rows] = words
+    t = np.empty((size // 2, words.shape[1]), dtype=np.uint64)
+    b = size // 2
+    while b:
+        blocks = w.reshape(size // (2 * b), 2, b, -1)
+        lo, hi = blocks[:, 0], blocks[:, 1]
+        d = t.reshape(lo.shape)
+        np.right_shift(lo, b, out=d)
+        d ^= hi
+        d &= _SWAP[b]
+        hi ^= d
+        d <<= b
+        lo ^= d
+        b //= 2
+    return w[:rows]
+
+
+def _low_bits(b: np.ndarray) -> np.ndarray:
+    """Words with the low b bits set; numpy shifts by 64 give 0, so b = 64 is all ones."""
+    return (_ONE << b) - _ONE
 
 
 def subsets_from_ids(grid: TriGrid, ids: np.ndarray) -> np.ndarray:
     """Membership matrix for subset counter values (bit j = dense id j)."""
-    ids = np.asarray(ids, dtype=np.uint64)
-    shifts = np.arange(grid.vertex_count, dtype=np.uint64)
-    return ((ids[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+    _check_order(grid)
+    nv = grid.vertex_count
+    if nv > 64:
+        raise ValueError(f"T_{grid.n} has {nv} vertices; subset ids are 64-bit")
+    try:
+        ids = np.asarray(ids, dtype="<u8")
+    except OverflowError:
+        raise ValueError("subset ids have bits outside the grid") from None
+    if ids.ndim != 1:
+        raise ValueError(f"expected a 1-D array of subset ids, got shape {ids.shape}")
+    if (ids >> nv).any():
+        raise ValueError("subset ids have bits outside the grid")
+    return np.unpackbits(
+        ids[:, None].view(np.uint8), axis=1, count=nv, bitorder="little"
+    )
 
 
 def random_subsets(grid: TriGrid, count: int, rng: np.random.Generator) -> np.ndarray:
     """count independent uniform subsets (each vertex in with probability 1/2)."""
+    _check_order(grid)
     return rng.integers(0, 2, size=(count, grid.vertex_count), dtype=np.uint8)
 
 
@@ -43,47 +157,46 @@ def pack_rows(mat: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _neighbor_hits(grid: TriGrid, mat: np.ndarray) -> np.ndarray:
-    """Boolean matrix: vertex j adjacent to some member of each row-set."""
-    adj = adjacency_matrix(grid).astype(np.float32)
-    nv = grid.vertex_count
-    rows = max(1, _BLOCK_CELLS // nv)
-    out = np.empty(mat.shape, dtype=bool)
-    for s in range(0, mat.shape[0], rows):
-        block = mat[s : s + rows].astype(np.float32)
-        out[s : s + rows] = (block @ adj) > 0.5
-    return out
-
-
 def boundary_sizes(grid: TriGrid, mat: np.ndarray) -> np.ndarray:
-    hits = _neighbor_hits(grid, mat)
-    return ((mat == 0) & hits).sum(axis=1).astype(np.int64)
+    def kernel(words):
+        out = _spread(grid, words)
+        out &= ~words
+        return np.bitwise_count(out).sum(axis=0, dtype=np.int64)
+
+    return _blockwise(grid, mat, kernel)
 
 
 def neighborhood_sizes(grid: TriGrid, mat: np.ndarray) -> np.ndarray:
-    hits = _neighbor_hits(grid, mat)
-    return ((mat != 0) | hits).sum(axis=1).astype(np.int64)
+    def kernel(words):
+        out = _spread(grid, words)
+        out |= words
+        return np.bitwise_count(out).sum(axis=0, dtype=np.int64)
+
+    return _blockwise(grid, mat, kernel)
 
 
 def compress(grid: TriGrid, mat: np.ndarray, axis: int, side: str) -> np.ndarray:
-    """Row-wise section compression; matches compress_left/compress_right."""
+    """Row-wise section compression; matches compress_left/compress_right.
+
+    2-sections are the row words; 1-sections are the row words of the
+    swapped set, so axis 1 runs between two transposes.
+    """
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis!r}")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    n = grid.n
-    out = np.zeros_like(mat, dtype=np.uint8)
-    for t in range(n + 1):
+    length = np.arange(grid.n + 1, 0, -1, dtype=np.uint8)[:, None]  # of row r
+
+    def kernel(words):
         if axis == 1:
-            ids = [grid.index((t, c)) for c in range(n - t + 1)]
-        else:
-            ids = [grid.index((c, t)) for c in range(n - t + 1)]
-        section = mat[:, ids]
-        counts = section.sum(axis=1, dtype=np.int64)
-        pos = np.arange(len(ids), dtype=np.int64)
+            words = _transpose(words)
+        counts = np.bitwise_count(words)
         if side == "left":
-            filled = pos[None, :] < counts[:, None]
+            filled = _low_bits(counts)
         else:
-            filled = pos[None, :] >= (len(ids) - counts)[:, None]
-        out[:, ids] = filled.astype(np.uint8)
-    return out
+            filled = _low_bits(length) ^ _low_bits(length - counts)
+        if axis == 1:
+            filled = _transpose(filled)
+        return _membership(grid, filled)
+
+    return _blockwise(grid, mat, kernel)

@@ -60,8 +60,12 @@ class TriGrid:
         return hash(("TriGrid", self.n))
 
     def contains(self, v) -> bool:
-        v1, v2 = v
-        return v1 >= 0 and v2 >= 0 and v1 + v2 <= self.n
+        """True when v is a pair of integers naming a vertex, else False."""
+        try:
+            self._vertex(v)
+        except (TypeError, ValueError):
+            return False
+        return True
 
     def _vertex(self, v) -> tuple[int, int]:
         """A vertex as a pair of ints; non-integers and non-vertices raise.
@@ -88,6 +92,11 @@ class TriGrid:
         return self._row_offset[v2] + v1
 
     def coord(self, i: int) -> Coord:
+        """Vertex of a dense id; the id is read with operator.index."""
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise ValueError(f"dense id {i!r} is not an integer") from None
         if not 0 <= i < self.vertex_count:
             raise ValueError(f"dense id {i} out of range for T_{self.n}")
         r = bisect_right(self._row_offset, i) - 1
@@ -101,11 +110,12 @@ class TriGrid:
     def neighbors(self, v) -> list[Coord]:
         """Valid neighbors of v in the canonical clockwise order."""
         v1, v2 = self.check(v)
+        n = self.n
         out = []
         for d1, d2 in NEIGHBOR_OFFSETS:
-            u = (v1 + d1, v2 + d2)
-            if self.contains(u):
-                out.append(Coord(*u))
+            u1, u2 = v1 + d1, v2 + d2
+            if u1 >= 0 and u2 >= 0 and u1 + u2 <= n:
+                out.append(Coord(u1, u2))
         return out
 
     def degree(self, v) -> int:

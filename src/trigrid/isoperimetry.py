@@ -23,7 +23,8 @@ EXHAUSTIVE_HARD_LIMIT = 6
 SAMPLED_ORDER_LIMIT = 30
 DIAGONAL_CHECK_ORDER_LIMIT = 4
 
-_CHUNK = 1 << 16
+_CHUNK_BITS = 16
+_CHUNK = 1 << _CHUNK_BITS
 
 
 @dataclass
@@ -62,26 +63,37 @@ class MinBoundaryTable:
 
 
 def _scan_range(n: int, start: int, stop: int) -> tuple[list[int], list[int]]:
-    """Per-cardinality (min boundary, witness counter) over one id range."""
+    """Per-cardinality (min boundary, smallest witness counter) over one id range.
+
+    Spread is a union over members, so for an id base | low, with base a
+    multiple of the chunk size, spread(id) = spread(base) | spread(low).
+    The spreads of every low pattern are built once, by doubling; each
+    chunk then needs one spread_bits call and a few popcounts.
+    """
     grid = TriGrid(n)
     nv = grid.vertex_count
-    best = [nv + 1] * (nv + 1)
+    table = np.zeros(1, dtype=np.uint64)
+    for j in range(min(nv, _CHUNK_BITS)):
+        table = np.concatenate((table, table | np.uint64(grid.spread_bits(1 << j))))
+    size = len(table)
+    best = np.full(nv + 1, nv + 1)
     witness = [0] * (nv + 1)
-    for s in range(start, stop, _CHUNK):
-        ids = np.arange(s, min(s + _CHUNK, stop), dtype=np.uint64)
-        mat = bulk.subsets_from_ids(grid, ids)
-        card = mat.sum(axis=1, dtype=np.int64)
-        bsize = bulk.boundary_sizes(grid, mat)
-        for k in range(nv + 1):
-            sel = card == k
-            if not sel.any():
-                continue
-            local = bsize[sel]
-            i = int(np.argmin(local))
-            if local[i] < best[k]:
-                best[k] = int(local[i])
-                witness[k] = int(ids[sel][i])
-    return best, witness
+    s = start
+    while s < stop:
+        base = s - s % size
+        e = min(base + size, stop)
+        ids = np.arange(s, e, dtype=np.uint64)
+        spread = table[s - base : e - base] | np.uint64(grid.spread_bits(base))
+        spread &= ~ids
+        cells = np.bitwise_count(ids).astype(np.intp) * (nv + 1)
+        cells += np.bitwise_count(spread)
+        seen = np.bincount(cells, minlength=(nv + 1) ** 2).reshape(nv + 1, nv + 1) > 0
+        least = seen.argmax(axis=1)  # per cardinality: the smallest boundary seen
+        for k in np.flatnonzero(seen.any(axis=1) & (least < best)):
+            best[k] = least[k]
+            witness[k] = s + int(np.argmax(cells == k * (nv + 1) + least[k]))
+        s = e
+    return best.tolist(), witness
 
 
 def exhaustive_min_boundary(

@@ -81,6 +81,30 @@ def test_numpy_integer_coordinates_accepted():
     assert VertexSet(g, [v]) == g.set_of([(2, 1)])
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", None])
+def test_coord_refuses_non_integral_ids(bad):
+    with pytest.raises(ValueError, match="not an integer"):
+        TriGrid(3).coord(bad)
+
+
+def test_coord_reads_numpy_ids_as_ints():
+    c = TriGrid(3).coord(np.int64(5))
+    assert c == Coord(1, 1) and type(c.v1) is int and type(c.v2) is int
+
+
+@pytest.mark.parametrize("bad", [*NON_INTEGRAL, (1, 2, 3), (1,), 5, None])
+def test_contains_is_false_for_non_integer_pairs(bad):
+    assert TriGrid(3).contains(bad) is False
+
+
+def test_contains_matches_vertex_list():
+    g = TriGrid(3)
+    inside = {tuple(v) for v in g.vertices()}
+    for v in [(a, b) for a in range(-1, 5) for b in range(-1, 5)]:
+        assert g.contains(v) is (v in inside)
+    assert g.contains((np.int64(1), np.int32(2))) is True
+
+
 def test_neighbor_examples():
     g = TriGrid(2)
     assert set(map(tuple, g.neighbors((0, 0)))) == {(1, 0), (0, 1)}

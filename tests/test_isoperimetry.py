@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -16,6 +17,8 @@ from trigrid import (
     packing_minimum,
     sampled_check,
 )
+
+from trigrid.isoperimetry import _scan_range
 
 from helpers import all_subsets, boundary_oracle, interior_boundary_oracle
 
@@ -71,11 +74,48 @@ def test_exhaustive_refuses_large_orders():
 
 
 def test_exhaustive_sharded_merge_matches():
-    g = TriGrid(3)
-    assert (
-        exhaustive_min_boundary(g, workers=1).to_json_obj()
-        == exhaustive_min_boundary(g, workers=3).to_json_obj()
-    )
+    # n = 5 has 2^21 ids in 2^16-id chunks: the shard edges of 2 workers
+    # fall on a chunk boundary, those of 3 workers inside a chunk.
+    for n, workers in ((3, 3), (5, 2), (5, 3)):
+        g = TriGrid(n)
+        assert (
+            exhaustive_min_boundary(g, workers=1).to_json_obj()
+            == exhaustive_min_boundary(g, workers=workers).to_json_obj()
+        )
+
+
+# sha256 of json.dumps(exhaustive_min_boundary(T_n).to_json_obj(),
+# sort_keys=True), taken from the adjacency-matmul scan this replaced.
+EXHAUSTIVE_TABLE_SHA256 = {
+    1: "838bf6e53fe2d18251f6e7c407f43320be9c0753250227debeb972db57bf7b23",
+    2: "aed88a774cb63ad5194e8a5711f1f79b09dc94cf93167e7400a0fe67481d716c",
+    3: "aff32059783b154ffc0975c521325e64d0693ea0e9aa85b4edd494d11dda8eb7",
+    4: "f50c1062b02e6f52ded8f8d4a04ae05302d27467cb27901261e4da9808ee8083",
+    5: "7ef70775eb3594ca3f47e592ff9d98cf88e37233d81b31d752c33d7161edfec0",
+}
+
+
+@pytest.mark.parametrize("n", sorted(EXHAUSTIVE_TABLE_SHA256))
+def test_exhaustive_tables_pinned(n):
+    obj = exhaustive_min_boundary(TriGrid(n)).to_json_obj()
+    text = json.dumps(obj, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_TABLE_SHA256[n]
+
+
+def test_scan_range_off_chunk_edges_matches_scalar_scan():
+    # An id range of T_5 that starts and ends inside 2^16-id chunks and
+    # spans a whole one; minima and smallest witnesses from spread_bits.
+    n, start, stop = 5, 65536 - 300, 2 * 65536 + 300
+    g = TriGrid(n)
+    nv = g.vertex_count
+    best = [nv + 1] * (nv + 1)
+    witness = [0] * (nv + 1)
+    for a in range(start, stop):
+        k = a.bit_count()
+        b = (g.spread_bits(a) & ~a).bit_count()
+        if b < best[k]:
+            best[k], witness[k] = b, a
+    assert _scan_range(n, start, stop) == (best, witness)
 
 
 def test_table_csv_shape():
