@@ -1,10 +1,11 @@
 """Vectorized batch operations over many vertex subsets at once.
 
 Subsets are rows of a (count, vertex_count) uint8 membership matrix,
-column j = dense id j, nonzero = member.  Each kernel packs its matrix
-once into one uint64 word per grid row (bit c of word r is vertex
-(c, r), the layout of TriGrid.spread_bits), works on those words with
-shifts and np.bitwise_count, and unpacks once when it returns a matrix.
+column j = dense id j, nonzero = member.  Each kernel packs its matrix,
+block by block, into one uint64 word per grid row (bit c of word r is
+vertex (c, r), the layout of TriGrid.spread_bits), works on those words
+with shifts and np.bitwise_count, and unpacks once when it returns a
+matrix.
 A grid row holds at most n + 1 vertices, so every kernel refuses n > 63.
 These back the large exhaustive and randomized sweeps; the scalar
 operations in core/compress are the reference implementations they are
@@ -18,11 +19,18 @@ import numpy as np
 from .core import TriGrid
 
 ORDER_LIMIT = 63  # the longest row, n + 1 vertices, must fit one uint64 word
-_BLOCK = 1 << 12  # sets per kernel pass
+_BLOCK = 1 << 12  # sets per kernel pass; a block's words stay in cache
 
 _ONE = np.uint64(1)
 # _SWAP[b] keeps the bit positions c with c & b == 0 (bit-matrix transpose).
-_SWAP = {b: sum(1 << c for c in range(64) if not c & b) for b in (1, 2, 4, 8, 16, 32)}
+_SWAP = {
+    1: 0x5555555555555555,
+    2: 0x3333333333333333,
+    4: 0x0F0F0F0F0F0F0F0F,
+    8: 0x00FF00FF00FF00FF,
+    16: 0x0000FFFF0000FFFF,
+    32: 0x00000000FFFFFFFF,
+}
 
 
 def _check_order(grid: TriGrid) -> None:
@@ -34,10 +42,7 @@ def _check_order(grid: TriGrid) -> None:
 
 
 def _blockwise(grid: TriGrid, mat: np.ndarray, kernel) -> np.ndarray:
-    """kernel(row words) over blocks of _BLOCK sets, results concatenated.
-
-    Blocks keep each kernel's words and temporaries in cache.
-    """
+    """kernel(row words) over blocks of _BLOCK sets, results concatenated."""
     _check_order(grid)
     mat = np.asarray(mat)
     nv = grid.vertex_count
