@@ -22,15 +22,6 @@ ORDER_LIMIT = 63  # the longest row, n + 1 vertices, must fit one uint64 word
 _BLOCK = 1 << 12  # sets per kernel pass; a block's words stay in cache
 
 _ONE = np.uint64(1)
-# _SWAP[b] keeps the bit positions c with c & b == 0 (bit-matrix transpose).
-_SWAP = {
-    1: 0x5555555555555555,
-    2: 0x3333333333333333,
-    4: 0x0F0F0F0F0F0F0F0F,
-    8: 0x00FF00FF00FF00FF,
-    16: 0x0000FFFF0000FFFF,
-    32: 0x00000000FFFFFFFF,
-}
 
 
 def _check_order(grid: TriGrid) -> None:
@@ -87,6 +78,10 @@ def _membership(grid: TriGrid, words: np.ndarray) -> np.ndarray:
     return np.unpackbits(dense.view(np.uint8), axis=1, count=nv, bitorder="little")
 
 
+def _row_masks(grid: TriGrid) -> np.ndarray:
+    return np.array(grid._row_mask, dtype=np.uint64)[:, None]
+
+
 def _spread(grid: TriGrid, words: np.ndarray) -> np.ndarray:
     """Row-parallel neighbor spread of every set, as TriGrid.spread_bits."""
     s = words << 1
@@ -95,35 +90,24 @@ def _spread(grid: TriGrid, words: np.ndarray) -> np.ndarray:
     s[1:] |= words[:-1] >> 1
     s[:-1] |= words[1:]
     s[:-1] |= words[1:] << 1
-    s &= np.array(grid._row_mask, dtype=np.uint64)[:, None]
+    s &= _row_masks(grid)
     return s
 
 
-def _transpose(words: np.ndarray) -> np.ndarray:
-    """Swap (v1, v2) -> (v2, v1) in every set: bit c of word r <-> bit r of word c.
+def _sort_columns(words: np.ndarray) -> np.ndarray:
+    """Move the members of every column to its lowest rows, in place.
 
-    The swap maps T_n onto itself, so columns of the input are the rows
-    of the output.  Standard recursive block transpose on the words
-    padded to a power-of-two square.
+    Odd-even transposition sort on the row words, with (a | b, a & b) as
+    the comparator: n + 1 rounds sort every column of every set at once.
     """
     rows = len(words)
-    size = 1 << (rows - 1).bit_length()
-    w = np.zeros((size, words.shape[1]), dtype=np.uint64)
-    w[:rows] = words
-    t = np.empty((size // 2, words.shape[1]), dtype=np.uint64)
-    b = size // 2
-    while b:
-        blocks = w.reshape(size // (2 * b), 2, b, -1)
-        lo, hi = blocks[:, 0], blocks[:, 1]
-        d = t.reshape(lo.shape)
-        np.right_shift(lo, b, out=d)
-        d ^= hi
-        d &= _SWAP[b]
-        hi ^= d
-        d <<= b
-        lo ^= d
-        b //= 2
-    return w[:rows]
+    for i in range(rows):
+        lo = words[i % 2 : rows - 1 : 2]
+        hi = words[i % 2 + 1 : rows : 2]
+        both = lo & hi
+        lo |= hi
+        hi[...] = both
+    return words
 
 
 def _low_bits(b: np.ndarray) -> np.ndarray:
@@ -181,27 +165,32 @@ def neighborhood_sizes(grid: TriGrid, mat: np.ndarray) -> np.ndarray:
 
 
 def compress(grid: TriGrid, mat: np.ndarray, axis: int, side: str) -> np.ndarray:
-    """Row-wise section compression; matches compress_left/compress_right.
+    """Section compression of every set; matches compress_left/compress_right.
 
-    2-sections are the row words; 1-sections are the row words of the
-    swapped set, so axis 1 runs between two transposes.
+    A 2-section is a row word, and its popcount sets the interval.
+    1-sections are sorted down their columns by _sort_columns.  For the
+    right side the rows are reversed first and each column's cells past
+    the hypotenuse count as members, so its own members end up against
+    the hypotenuse.
     """
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis!r}")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    length = np.arange(grid.n + 1, 0, -1, dtype=np.uint8)[:, None]  # of row r
 
     def kernel(words):
-        if axis == 1:
-            words = _transpose(words)
-        counts = np.bitwise_count(words)
-        if side == "left":
-            filled = _low_bits(counts)
+        if axis == 2:
+            counts = np.bitwise_count(words)
+            if side == "left":
+                filled = _low_bits(counts)
+            else:
+                length = np.arange(grid.n + 1, 0, -1, dtype=np.uint8)[:, None]
+                filled = _low_bits(length) ^ _low_bits(length - counts)
+        elif side == "left":
+            filled = _sort_columns(words)
         else:
-            filled = _low_bits(length) ^ _low_bits(length - counts)
-        if axis == 1:
-            filled = _transpose(filled)
+            masks = _row_masks(grid)
+            filled = _sort_columns(words[::-1] | ~masks[::-1])[::-1] & masks
         return _membership(grid, filled)
 
     return _blockwise(grid, mat, kernel)
