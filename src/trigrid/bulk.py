@@ -3,9 +3,9 @@
 Subsets are rows of a (count, vertex_count) uint8 membership matrix,
 column j = dense id j, nonzero = member.  Each kernel packs its matrix,
 block by block, into one uint64 word per grid row (bit c of word r is
-vertex (c, r), the layout of TriGrid.spread_bits), works on those words
-with shifts and np.bitwise_count, and unpacks once when it returns a
-matrix.
+vertex (c, r), cut from the row's run of dense ids), works on those
+words with shifts and np.bitwise_count, and unpacks once when it
+returns a matrix.
 A grid row holds at most n + 1 vertices, so every kernel refuses n > 63.
 These back the large exhaustive and randomized sweeps; the scalar
 operations in core/compress are the reference implementations they are

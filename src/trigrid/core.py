@@ -32,9 +32,21 @@ class TriGrid:
     Vertices carry dense integer ids in row-major order (row 0 first,
     left to right within a row), so each row occupies a contiguous bit
     range in set bitmasks.
+
+    For spread_bits the grid also holds a fixed expand network.  It moves
+    row r from its dense offset to r * (n + 2), a board whose rows all
+    have stride n + 2 and so end in at least one guard bit.  Row r moves
+    by d_r = r(r + 1) / 2, which never decreases with r, so one stage per
+    bit of d_n does it: from the top bit down, stage b shifts the rows
+    whose d_r has bit b set by 2^b, and no two rows ever overlap.  This
+    is the expand/compress of Hacker's Delight with row runs as the
+    elements.  _stages holds (2^b, rows to move, where they land) per
+    stage, top bit first; _valid is the vertices on the padded board.
     """
 
-    __slots__ = ("n", "vertex_count", "full_mask", "_row_offset", "_row_mask")
+    __slots__ = (
+        "n", "vertex_count", "full_mask", "_row_offset", "_row_mask", "_stages", "_valid",
+    )
 
     def __init__(self, n: int):
         if n < 1:
@@ -49,6 +61,7 @@ class TriGrid:
             off += n - r + 1
         self._row_offset = tuple(offsets)
         self._row_mask = tuple((1 << (n - r + 1)) - 1 for r in range(n + 1))
+        self._stages, self._valid = _padded_board(self)
 
     def __repr__(self) -> str:
         return f"TriGrid({self.n})"
@@ -127,25 +140,25 @@ class TriGrid:
     def spread_bits(self, bits: int) -> int:
         """Union of the (strict) neighbor sets of all members of a bitmask.
 
-        Row-parallel: every row is a contiguous bit range, so the six edge
-        directions reduce to shifted copies of adjacent row words.
+        No per-row loop: the expand network moves the dense rows onto the
+        padded board of stride S = n + 2, where the six edge directions
+        are the shifts +-1, +-S and +-(S - 1) and the guard bits stop
+        any wrap between rows; masking with the board's vertices and
+        running the stages in reverse brings the result back to dense ids.
         """
-        n = self.n
-        offs = self._row_offset
-        masks = self._row_mask
-        rows = [(bits >> offs[r]) & masks[r] for r in range(n + 1)]
-        out = 0
-        for r in range(n + 1):
-            x = rows[r]
-            s = (x << 1) | (x >> 1)
-            if r > 0:
-                below = rows[r - 1]
-                s |= below | (below >> 1)
-            if r < n:
-                above = rows[r + 1]
-                s |= above | (above << 1)
-            out |= (s & masks[r]) << offs[r]
-        return out
+        stages = self._stages
+        x = bits
+        for shift, rows, _ in stages:
+            t = x & rows
+            x = x ^ t | t << shift
+        s = self.n + 2
+        x = (
+            (x << 1) | (x >> 1) | (x << s) | (x >> s) | (x << (s - 1)) | (x >> (s - 1))
+        ) & self._valid
+        for shift, _, landed in reversed(stages):
+            t = x & landed
+            x = x ^ t | t >> shift
+        return x
 
     def empty_set(self) -> "VertexSet":
         return VertexSet(self)
@@ -155,6 +168,48 @@ class TriGrid:
 
     def set_of(self, coords: Iterable) -> "VertexSet":
         return VertexSet(self, coords)
+
+
+def _padded_board(grid: TriGrid) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """The stages of TriGrid's expand network, top bit first, and the
+    vertices of the padded board.
+
+    board holds every vertex where the stages so far have put it.  Before
+    stage b, rows with the same d_r >> (b + 1) lie next to each other in
+    one run, and empty bits separate the runs.  Within a run d_r grows,
+    so the rows with bit b set are the run's top rows, and a 1 added at
+    the first of them carries through exactly those rows.  So
+    board & ~(board + firsts) is the stage's mask, built in O(V) from one
+    point per run.
+    """
+    n = grid.n
+    stride = n + 2
+    size = (n + 1) * stride
+    gaps = [r * stride - off for r, off in enumerate(grid._row_offset)]
+    below = [-1, *gaps[:-1]]
+    board = grid.full_mask
+    stages = []
+    for b in reversed(range(gaps[-1].bit_length())):
+        shift = 1 << b
+        low = (shift << 1) - 1
+        firsts = [
+            r * stride - (d & low)
+            for r, (d, e) in enumerate(zip(gaps, below))
+            if d & shift and d >> b != e >> b
+        ]
+        rows = board & ~(board + _sum_of_powers(firsts, size))
+        landed = rows << shift
+        board = board ^ rows | landed
+        stages.append((shift, rows, landed))
+    return tuple(stages), board
+
+
+def _sum_of_powers(positions: list[int], size: int) -> int:
+    """Sum of 2^p over distinct positions p <= size, via one byte buffer."""
+    buf = bytearray((size >> 3) + 1)
+    for p in positions:
+        buf[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(buf, "little")
 
 
 class VertexSet:

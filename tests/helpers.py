@@ -149,3 +149,27 @@ def lions_clearable_oracle(grid: TriGrid, lions: int) -> bool:
                         nxt.append((dests, new))
             frontier = nxt
     return False
+
+
+def spread_oracle(grid: TriGrid, bits: int) -> int:
+    """Neighbor spread of a dense-id bitmask, one row word at a time.
+
+    Every row is a contiguous bit range, so the six edge directions are
+    shifted copies of the row itself and of the rows below and above.
+    """
+    n = grid.n
+    offs = grid._row_offset
+    masks = grid._row_mask
+    rows = [(bits >> offs[r]) & masks[r] for r in range(n + 1)]
+    out = 0
+    for r in range(n + 1):
+        x = rows[r]
+        s = (x << 1) | (x >> 1)
+        if r > 0:
+            below = rows[r - 1]
+            s |= below | (below >> 1)
+        if r < n:
+            above = rows[r + 1]
+            s |= above | (above << 1)
+        out |= (s & masks[r]) << offs[r]
+    return out

@@ -22,6 +22,7 @@ from helpers import (
     interior_boundary_oracle,
     neighborhood_oracle,
     random_vertex_set,
+    spread_oracle,
 )
 
 
@@ -205,6 +206,48 @@ def test_set_operators_match_oracle_random_larger():
             assert {
                 tuple(v) for v in interior_boundary(g, a)
             } == interior_boundary_oracle(g, members)
+
+
+def test_spread_matches_oracles_on_every_subset_small():
+    for n in (1, 2, 3, 4):
+        g = TriGrid(n)
+        adj = adjacency_oracle(g)
+        nbr_bits = [
+            sum(1 << g.index(u) for u in adj[tuple(g.coord(i))])
+            for i in range(g.vertex_count)
+        ]
+        for bits in range(1 << g.vertex_count):
+            spread = g.spread_bits(bits)
+            assert spread == spread_oracle(g, bits)
+            drawn = 0
+            for i, nbrs in enumerate(nbr_bits):
+                if bits >> i & 1:
+                    drawn |= nbrs
+            assert spread == drawn
+
+
+def _spread_cases(g, rng):
+    """Empty, full, row-end singletons, sparse and random sets of g."""
+    n = g.n
+    offs = g._row_offset
+    rows = range(n + 1) if n <= 70 else sorted({0, 1, n // 2, n - 1, n})
+    singles = {offs[r] + c for r in rows for c in (0, n - r)}
+    singles.update(rng.randrange(g.vertex_count) for _ in range(3))
+    sparse = [
+        sum(1 << i for i in rng.sample(range(g.vertex_count), min(g.vertex_count, 5)))
+        for _ in range(3)
+    ]
+    dense = [g.full_mask & rng.getrandbits(g.vertex_count) for _ in range(3)]
+    return [0, g.full_mask, *(1 << i for i in sorted(singles)), *sparse, *dense]
+
+
+@pytest.mark.parametrize("orders", [range(1, 36), range(36, 71), (200, 1000)])
+def test_spread_matches_row_oracle(orders):
+    rng = random.Random(orders[0])
+    for n in orders:
+        g = TriGrid(n)
+        for bits in _spread_cases(g, rng):
+            assert g.spread_bits(bits) == spread_oracle(g, bits), (n, bits)
 
 
 def test_boundary_disjoint_and_neighborhood_union():
