@@ -84,7 +84,26 @@ class SearchTrace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
+        """json.dumps(to_json_obj(), sort_keys=True, indent=2) plus a newline.
+
+        The text is written directly, because indent makes json use its
+        pure-Python encoder.  Each vertex's [v1, v2] text is built once per
+        call and joined by dense id.
+        """
+        pair = [
+            f"      [\n        {v1},\n        {v2}\n      ]" for v1, v2 in self.grid.vertices()
+        ]
+        searches = [
+            "    " + _json_array([pair[i] for i in _ids(s.bits)], "    ")
+            for s in self.searches
+        ]
+        dirty = [f'    "{d.to_hex()}"' for d in self.dirty_after]
+        return (
+            f'{{\n  "budget": {json.dumps(self.budget)},\n'
+            f'  "dirty_checksums": {_json_array(dirty, "  ")},\n'
+            f'  "n": {self.n},\n'
+            f'  "searches": {_json_array(searches, "  ")}\n}}\n'
+        )
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SearchTrace":
@@ -104,6 +123,23 @@ class SearchTrace:
             if len(stored) != len(replayed):
                 raise TraceError("dirty checksum count does not match turn count")
         return trace
+
+
+def _ids(bits: int) -> list[int]:
+    """Dense ids of the members of a bitmask, ascending."""
+    ids = []
+    while bits:
+        low = bits & -bits
+        ids.append(low.bit_length() - 1)
+        bits ^= low
+    return ids
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """An indent=2 JSON array of already indented item texts, closed at indent."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
 def verify_trace(grid: TriGrid, trace: SearchTrace) -> bool:

@@ -10,6 +10,8 @@ from trigrid import (
     TraceError,
     TriGrid,
     VertexSet,
+    column_sweep_strategy,
+    couple_to_search,
     exact_inspection_number,
     inspection_bounds_report,
     lower_bound_certificate,
@@ -136,6 +138,30 @@ def test_trace_json_round_trip_and_checksums():
         SearchTrace.from_json_obj(obj)
     with pytest.raises(TraceError):
         SearchTrace.from_json_obj({"n": 3, "budget": 5})
+
+
+def _dumped(trace):
+    return json.dumps(trace.to_json_obj(), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", [*range(1, 14), 15, 30, 45, 60])
+def test_trace_writer_matches_json_dumps_on_sweeps(n):
+    trace = three_stage_strategy(TriGrid(n))
+    assert trace.to_json() == _dumped(trace)
+
+
+def test_trace_writer_matches_json_dumps_on_edge_cases():
+    g = TriGrid(3)
+    coupled = [couple_to_search(column_sweep_strategy(TriGrid(n))) for n in (*range(1, 11), 40)]
+    traces = [
+        *coupled,
+        SearchTrace.from_searches(g, 4, []),  # no turns
+        SearchTrace.from_searches(g, 4, [g.empty_set(), g.full_set()]),  # an empty search
+        SearchTrace(grid=g, budget=4, searches=[g.set_of([(0, 0), (1, 2)])]),  # no states
+        SearchTrace.from_json_obj(json.loads(three_stage_strategy(TriGrid(7)).to_json())),
+    ]
+    for trace in traces:
+        assert trace.to_json() == _dumped(trace)
 
 
 def test_trace_json_refuses_coercion():
