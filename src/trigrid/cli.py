@@ -59,7 +59,7 @@ class Report:
     ok: bool
     duration_s: float
     version: str = __version__
-    text: str | None = None  # csv/ascii rendering when requested
+    text: str | None = None  # csv/ascii rendering, where the command has one
 
     def to_json(self) -> str:
         obj = {
@@ -177,27 +177,31 @@ def _render(p: dict, config: RunConfig):
     return {"n": grid.n, "ascii": text}, True, text
 
 
-# Command string -> run(params, config) returning (payload, ok, text); text
-# is the csv/ascii rendering, None where the command has none.
+# Command string -> (run, has_text).  run(params, config) returns (payload,
+# ok, text), text being the csv/ascii rendering; has_text(params) says
+# beforehand whether run gives one, so an unsupported --format is refused
+# before the command does any work.
 COMMANDS = {
-    "verify-isoperimetry": _verify_isoperimetry,
-    "packing": _packing,
-    "compress": _compress,
-    "search simulate": _search_simulate,
-    "search exact": _search_exact,
-    "search bounds": _search_bounds,
-    "lions simulate": _lions_simulate,
-    "lions couple": _lions_couple,
-    "lions exact": _lions_exact,
-    "render": _render,
+    "verify-isoperimetry": (_verify_isoperimetry, lambda p: p["exhaustive"]),
+    "packing": (_packing, lambda p: False),
+    "compress": (_compress, lambda p: False),
+    "search simulate": (_search_simulate, lambda p: p["render"]),
+    "search exact": (_search_exact, lambda p: False),
+    "search bounds": (_search_bounds, lambda p: True),
+    "lions simulate": (_lions_simulate, lambda p: p["render"]),
+    "lions couple": (_lions_couple, lambda p: False),
+    "lions exact": (_lions_exact, lambda p: False),
+    "render": (_render, lambda p: True),
 }
 
 
 def dispatch(config: RunConfig) -> Report:
     """Run one command; raises TraceError/ValueError for bad inputs."""
-    run = COMMANDS.get(config.command)
-    if run is None:
+    if config.command not in COMMANDS:
         raise ValueError(f"unknown command {config.command!r}")
+    run, has_text = COMMANDS[config.command]
+    if config.fmt != "json" and not has_text(config.params):
+        raise ValueError(f"--format {config.fmt} is not available for {config.command}")
     cpus = os.cpu_count() or 1
     if not 1 <= config.threads <= cpus:
         raise ValueError(f"--threads must be in 1..{cpus}, got {config.threads}")
@@ -314,16 +318,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(report: Report, config: RunConfig) -> int:
-    if config.fmt == "json":
-        body = report.to_json()
-    else:
-        if report.text is None:
-            print(
-                f"error: --format {config.fmt} is not available for {config.command}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        body = report.text
+    body = report.to_json() if config.fmt == "json" else report.text
     if config.out:
         try:
             with open(config.out, "w", encoding="utf-8") as fh:

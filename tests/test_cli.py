@@ -11,6 +11,7 @@ from trigrid.cli import (
     EXIT_VERIFY,
     Report,
     RunConfig,
+    _config_from_args,
     _emit,
     build_parser,
     dispatch,
@@ -173,6 +174,62 @@ def test_format_unavailable_is_usage_error(capsys):
                        "--kind", "initial", "--format", "csv")
     assert code == EXIT_USAGE
     assert "not available" in err
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["verify-isoperimetry", "--n", "9", "--samples", "10"], "verify-isoperimetry"),
+        (["search", "simulate", "--n", "3"], "search simulate"),
+        (["lions", "simulate", "--n", "2"], "lions simulate"),
+        (["search", "exact", "--n", "1", "--max-m", "3"], "search exact"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "ascii"])
+def test_format_refusal_names_format_and_command(capsys, argv, command, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: --format {fmt} is not available for {command}\n"
+
+
+def test_format_refused_before_the_command_runs(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled_check ran")
+
+    monkeypatch.setattr("trigrid.cli.sampled_check", fail)
+    code, out, err = run(capsys, "verify-isoperimetry", "--n", "30",
+                         "--samples", "200000", "--format", "csv")
+    assert code == EXIT_USAGE and out == ""
+    assert "not available for verify-isoperimetry" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-isoperimetry", "--n", "2", "--exhaustive"],
+        ["verify-isoperimetry", "--n", "9", "--samples", "10"],
+        ["packing", "--n", "3", "--k", "2", "--kind", "final"],
+        ["search", "simulate", "--n", "2"],
+        ["search", "simulate", "--n", "2", "--render"],
+        ["search", "exact", "--n", "1", "--max-m", "3"],
+        ["search", "bounds", "--n-max", "2", "--exact-up-to", "0"],
+        ["lions", "simulate", "--n", "2"],
+        ["lions", "simulate", "--n", "2", "--render"],
+        ["lions", "exact", "--n", "1", "--max-l", "2"],
+        ["render", "--n", "2"],
+    ],
+)
+def test_command_table_says_which_runs_give_text(argv):
+    config = _config_from_args(build_parser().parse_args(argv))
+    run_command, has_text = COMMANDS[config.command]
+    _, _, text = run_command(config.params, config)
+    assert (text is not None) == has_text(config.params)
+
+
+def test_bounds_ascii_still_prints_csv(capsys):
+    _, csv, _ = run(capsys, "search", "bounds", "--n-max", "3", "--format", "csv")
+    code, ascii_out, _ = run(capsys, "search", "bounds", "--n-max", "3", "--format", "ascii")
+    assert code == EXIT_OK and ascii_out == csv
 
 
 def test_verification_failure_exit_code():
