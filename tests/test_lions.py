@@ -161,13 +161,17 @@ def column_invariant_holds(trace):
     after its last turn, right of column c+1."""
     g = trace.grid
     n = g.n
+    # columns_below[limit]: the vertices with v1 < limit, as a bitmask
+    columns_below = [0]
+    for c in range(n + 1):
+        column = g.set_of((c, r) for r in range(n - c + 1))
+        columns_below.append(columns_below[-1] | column.bits)
     turn = 0
     for c in range(n):
         for r in range(n - c):
             turn += 1
-            cont = trace.contaminated[turn]
             limit = c + 2 if r == n - c - 1 else c + 1
-            if any(v.v1 < limit for v in cont):
+            if trace.contaminated[turn].bits & columns_below[limit]:
                 return False
     return True
 
@@ -180,6 +184,15 @@ def test_column_sweep_clears_and_keeps_invariant():
         assert len(tr.turns) == n * (n + 1) // 2
         assert tr.is_winning()
         assert column_invariant_holds(tr)
+
+
+def test_column_invariant_catches_contamination_left_of_the_sweep():
+    g = TriGrid(6)
+    tr = column_sweep_strategy(g)
+    assert column_invariant_holds(tr)
+    # turn 6 ends the sweep of column 0, so column 0 must be clean there
+    tr.contaminated[6] = tr.contaminated[6] | g.set_of([(0, 4)])
+    assert not column_invariant_holds(tr)
 
 
 def test_trace_invariants_on_random_walks():
