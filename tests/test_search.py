@@ -150,7 +150,7 @@ def test_trace_writer_matches_json_dumps_on_sweeps(n):
     assert trace.to_json() == _dumped(trace)
 
 
-def test_trace_writer_matches_json_dumps_on_edge_cases():
+def test_trace_writer_matches_json_dumps_on_coupled_and_edge_cases():
     g = TriGrid(3)
     coupled = [couple_to_search(column_sweep_strategy(TriGrid(n))) for n in (*range(1, 11), 40)]
     traces = [
