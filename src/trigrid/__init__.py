@@ -22,14 +22,7 @@ from .ordering import (
     simplicial_rank,
     triangular,
 )
-from .compress import (
-    SectionFamily,
-    compress_left,
-    compress_right,
-    is_compressed,
-    reflect,
-    sections,
-)
+from .compress import compress_left, compress_right, is_compressed, reflect
 from .isoperimetry import (
     DiagonalSegmentReport,
     MinBoundaryTable,

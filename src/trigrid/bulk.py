@@ -115,6 +115,21 @@ def _low_bits(b: np.ndarray) -> np.ndarray:
     return (_ONE << b) - _ONE
 
 
+def union_table(images) -> np.ndarray:
+    """uint64 table whose entry b is the OR of images[j] over the bits j of b.
+
+    Built by doubling: the table for images[:j + 1] is the one for
+    images[:j] followed by the same entries ORed with images[j].  A map
+    that takes unions to unions, such as a neighbour spread or a
+    permutation of ids, is tabulated over a bit field by its images of
+    the single bits.  Every image must fit 64 bits.
+    """
+    table = np.zeros(1, dtype=np.uint64)
+    for image in images:
+        table = np.concatenate((table, table | np.uint64(image)))
+    return table
+
+
 def subsets_from_ids(grid: TriGrid, ids: np.ndarray) -> np.ndarray:
     """Membership matrix for subset counter values (bit j = dense id j)."""
     _check_order(grid)

@@ -1,17 +1,20 @@
-"""Section-wise compression operators on vertex subsets.
+"""Section compression operators on vertex subsets, worked on bitmasks.
 
 A set is sliced into 1-sections (columns, fixed v1 = t) or 2-sections
 (rows, fixed v2 = t).  Left compression replaces each section by the
 initial interval {0, ..., size-1}; right compression by the terminal
-interval {n-t, ..., n-t-size+1}.  An empty section compresses to the
+interval {n-t-size+1, ..., n-t}.  An empty section compresses to the
 empty interval.
+
+Both work on the row words of a set (bit c of word r is vertex (c, r)).
+A 2-section is one row word, so it compresses to a run of popcount bits.
+The 1-sections are sorted down (or up) their columns by an odd-even
+transposition sort of the row words, which sorts every column at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Coord, TriGrid, VertexSet
+from .core import TriGrid, VertexSet, _set_bits, automorphism_id_permutations
 
 AXES = (1, 2)
 SIDES = ("left", "right")
@@ -23,67 +26,51 @@ def _check_axis(axis: int) -> int:
     return axis
 
 
-@dataclass(frozen=True)
-class SectionFamily:
-    """Per-index cross-coordinate sets of a vertex set along one axis."""
-
-    n: int
-    axis: int
-    sets: tuple[frozenset[int], ...]
-
-    def reassemble(self, grid: TriGrid) -> VertexSet:
-        if grid.n != self.n:
-            raise ValueError("section family belongs to a different grid")
-        coords = []
-        for t, s in enumerate(self.sets):
-            for c in s:
-                coords.append((t, c) if self.axis == 1 else (c, t))
-        return VertexSet(grid, coords)
+def _row_words(grid: TriGrid, a: VertexSet) -> list[int]:
+    bits = _set_bits(grid, a)
+    return [bits >> off & mask for off, mask in zip(grid._row_offset, grid._row_mask)]
 
 
-def sections(grid: TriGrid, a: VertexSet, axis: int) -> SectionFamily:
-    """The 1-sections (per column) or 2-sections (per row) of a."""
-    _check_axis(axis)
-    n = grid.n
-    sets = [set() for _ in range(n + 1)]
-    for v1, v2 in a:
-        if axis == 1:
-            sets[v1].add(v2)
-        else:
-            sets[v2].add(v1)
-    return SectionFamily(n, axis, tuple(frozenset(s) for s in sets))
+def _from_row_words(grid: TriGrid, words: list[int]) -> VertexSet:
+    bits = 0
+    for off, word in zip(grid._row_offset, words):
+        bits |= word << off
+    return VertexSet.from_bits(grid, bits)
 
 
-def _section_sizes(grid: TriGrid, a: VertexSet, axis: int) -> list[int]:
-    sizes = [0] * (grid.n + 1)
-    for v1, v2 in a:
-        sizes[v1 if axis == 1 else v2] += 1
-    return sizes
-
-
-def _from_sections(grid: TriGrid, axis, intervals) -> VertexSet:
-    coords = []
-    for t, rng in enumerate(intervals):
-        for c in rng:
-            coords.append((t, c) if axis == 1 else (c, t))
-    return VertexSet(grid, coords)
+def _sort_columns(words: list[int], comparator) -> list[int]:
+    """n + 1 rounds of odd-even transposition on adjacent row pairs, in place."""
+    for i in range(len(words)):
+        for r in range(i % 2, len(words) - 1, 2):
+            words[r], words[r + 1] = comparator(r, words[r], words[r + 1])
+    return words
 
 
 def compress_left(grid: TriGrid, a: VertexSet, axis: int) -> VertexSet:
     """Push every section of a to the low end of its range."""
     _check_axis(axis)
-    sizes = _section_sizes(grid, a, axis)
-    return _from_sections(grid, axis, (range(c) for c in sizes))
+    words = _row_words(grid, a)
+    if axis == 2:
+        return _from_row_words(grid, [(1 << w.bit_count()) - 1 for w in words])
+    return _from_row_words(grid, _sort_columns(words, lambda r, lo, hi: (lo | hi, lo & hi)))
 
 
 def compress_right(grid: TriGrid, a: VertexSet, axis: int) -> VertexSet:
-    """Push every section of a to the high end of its range {0, ..., n-t}."""
+    """Push every section of a to the high end of its range {0, ..., n-t}.
+
+    On axis 1 a member moves up only into a cell of the row above, which
+    row r + 1's mask tells; a member below the column's top cell stays.
+    """
     _check_axis(axis)
-    n = grid.n
-    sizes = _section_sizes(grid, a, axis)
-    return _from_sections(
-        grid, axis, (range(n - t - c + 1, n - t + 1) for t, c in enumerate(sizes))
-    )
+    masks = grid._row_mask
+    words = _row_words(grid, a)
+    if axis == 2:  # m ^ m >> c is the top c bits of a row
+        return _from_row_words(grid, [m ^ m >> w.bit_count() for m, w in zip(masks, words)])
+
+    def up(r, lo, hi):
+        return lo & hi | lo & ~masks[r + 1], (lo | hi) & masks[r + 1]
+
+    return _from_row_words(grid, _sort_columns(words, up))
 
 
 def is_compressed(grid: TriGrid, a: VertexSet, axis: int, side: str) -> bool:
@@ -97,12 +84,17 @@ def is_compressed(grid: TriGrid, a: VertexSet, axis: int, side: str) -> bool:
 def reflect(grid: TriGrid, a: VertexSet, axis: int) -> VertexSet:
     """Mirror about the median of the given axis.
 
-    axis=2 fixes rows: (v1, v2) -> (n - v1 - v2, v2); axis=1 fixes columns.
-    Conjugating left compression by the matching reflection yields right
-    compression.
+    axis=2 fixes rows: (v1, v2) -> (n - v1 - v2, v2); axis=1 fixes columns:
+    (v1, v2) -> (v1, n - v1 - v2).  These are entries 4 and 5 of
+    automorphism_id_permutations.  Conjugating left compression by the
+    matching reflection yields right compression.
     """
     _check_axis(axis)
-    n = grid.n
-    if axis == 2:
-        return VertexSet(grid, (Coord(n - v1 - v2, v2) for v1, v2 in a))
-    return VertexSet(grid, (Coord(v1, n - v1 - v2) for v1, v2 in a))
+    bits = _set_bits(grid, a)
+    perm = automorphism_id_permutations(grid)[4 if axis == 2 else 5]
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= 1 << perm[low.bit_length() - 1]
+        bits ^= low
+    return VertexSet.from_bits(grid, out)

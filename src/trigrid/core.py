@@ -358,27 +358,18 @@ def coords_from_json(pairs) -> list[Coord]:
 def automorphism_id_permutations(grid: TriGrid) -> list[tuple[int, ...]]:
     """The 6 triangle symmetries as permutations of dense ids.
 
-    Generated by the rotation (v1, v2) -> (v2, n - v1 - v2) and the swap
-    (v1, v2) -> (v2, v1); identity first.
+    A vertex (v1, v2) has the three coordinates (a, b, c) = (v1, v2,
+    n - v1 - v2), and each symmetry permutes them.  In order: identity,
+    the rotation (b, c), its square (c, a), the swap (b, a), and the two
+    reflections (c, b) and (a, c) that fix rows and columns.
     """
     n = grid.n
-
-    def rot(v):
-        return (v[1], n - v[0] - v[1])
-
-    def swp(v):
-        return (v[1], v[0])
-
-    maps = [
-        lambda v: v,
-        rot,
-        lambda v: rot(rot(v)),
-        swp,
-        lambda v: swp(rot(v)),
-        lambda v: swp(rot(rot(v))),
-    ]
-    coords = [grid.coord(i) for i in range(grid.vertex_count)]
-    return [tuple(grid.index(f(v)) for v in coords) for f in maps]
+    offs = grid._row_offset
+    b = [r for r in range(n + 1) for _ in range(n + 1 - r)]
+    a = [i - offs[r] for i, r in enumerate(b)]
+    c = [n - x - y for x, y in zip(a, b)]
+    images = ((a, b), (b, c), (c, a), (b, a), (c, b), (a, c))
+    return [tuple(offs[y] + x for x, y in zip(xs, ys)) for xs, ys in images]
 
 
 def _set_bits(grid: TriGrid, a: VertexSet) -> int:

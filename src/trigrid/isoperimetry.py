@@ -21,7 +21,7 @@ from .ordering import final_segment, initial_segment, packing_minimum
 EXHAUSTIVE_DEFAULT_LIMIT = 5
 EXHAUSTIVE_HARD_LIMIT = 6
 SAMPLED_ORDER_LIMIT = 30
-DIAGONAL_CHECK_ORDER_LIMIT = 4
+DIAGONAL_CHECK_ORDER_LIMIT = 6
 
 _CHUNK_BITS = 16
 _CHUNK = 1 << _CHUNK_BITS
@@ -67,14 +67,12 @@ def _scan_range(n: int, start: int, stop: int) -> tuple[list[int], list[int]]:
 
     Spread is a union over members, so for an id base | low, with base a
     multiple of the chunk size, spread(id) = spread(base) | spread(low).
-    The spreads of every low pattern are built once, by doubling; each
-    chunk then needs one spread_bits call and a few popcounts.
+    The spreads of every low pattern are tabulated once by union_table;
+    each chunk then needs one spread_bits call and a few popcounts.
     """
     grid = TriGrid(n)
     nv = grid.vertex_count
-    table = np.zeros(1, dtype=np.uint64)
-    for j in range(min(nv, _CHUNK_BITS)):
-        table = np.concatenate((table, table | np.uint64(grid.spread_bits(1 << j))))
+    table = bulk.union_table(grid.spread_bits(1 << j) for j in range(min(nv, _CHUNK_BITS)))
     size = len(table)
     best = np.full(nv + 1, nv + 1)
     witness = [0] * (nv + 1)
@@ -248,7 +246,13 @@ class DiagonalSegmentReport:
 
 
 def diagonal_segment_check(grid: TriGrid) -> DiagonalSegmentReport:
-    """Exhaustive diagonal-conditioned check of segment minimality (n <= 4)."""
+    """Exhaustive diagonal-conditioned check of segment minimality (n <= 6).
+
+    Every set in either case is D | X for X over the off-diagonal
+    vertices, with D empty or the whole diagonal.  union_table gives X
+    and its spread for every counter at once, and a set's closed
+    neighborhood is D | X | spread(D) | spread(X).
+    """
     if grid.n > DIAGONAL_CHECK_ORDER_LIMIT:
         raise ValueError(f"exhaustive diagonal check supports n <= {DIAGONAL_CHECK_ORDER_LIMIT}")
     n = grid.n
@@ -257,41 +261,35 @@ def diagonal_segment_check(grid: TriGrid) -> DiagonalSegmentReport:
     for v1 in range(n + 1):
         diag_bits |= 1 << grid.index((v1, n - v1))
     off_ids = [i for i in range(nv) if not diag_bits >> i & 1]
-    seg_nbhd_init = [
-        len(neighborhood(grid, initial_segment(grid, k))) for k in range(nv + 1)
-    ]
-    seg_nbhd_final = [
-        len(neighborhood(grid, final_segment(grid, k))) for k in range(nv + 1)
-    ]
-    slack_avoid: list[int | None] = [None] * (nv + 1)
-    slack_contain: list[int | None] = [None] * (nv + 1)
-    violations: list[dict] = []
+    sets = bulk.union_table(1 << i for i in off_ids)
+    spreads = bulk.union_table(grid.spread_bits(1 << i) for i in off_ids)
+    spreads |= sets
+    cases = {"avoid": (0, initial_segment), "contain": (diag_bits, final_segment)}
+    least: dict[str, list[int | None]] = {}
+    bad = {}
+    for case, (d, segment) in cases.items():
+        ref = [len(neighborhood(grid, segment(grid, k))) for k in range(nv + 1)]
+        ref = np.array(ref, dtype=np.int16)
+        k = np.bitwise_count(sets) + d.bit_count()
+        slack = np.bitwise_count(spreads | np.uint64(d | grid.spread_bits(d))) - ref[k]
+        per_k = np.full(nv + 1, nv + 1)
+        np.minimum.at(per_k, k, slack)
+        seen = np.bincount(k, minlength=nv + 1) > 0
+        least[case] = [int(x) if s else None for x, s in zip(per_k, seen)]
+        bad[case] = slack < 0
+    violations = []  # ascending counter, avoid before contain
     width = (nv + 3) // 4
-    for counter in range(1 << len(off_ids)):
-        bits = 0
-        c = counter
-        idx = 0
-        while c:
-            if c & 1:
-                bits |= 1 << off_ids[idx]
-            c >>= 1
-            idx += 1
-        for case, a_bits in (("avoid", bits), ("contain", bits | diag_bits)):
-            k = a_bits.bit_count()
-            nbhd = (a_bits | grid.spread_bits(a_bits)).bit_count()
-            ref = seg_nbhd_init[k] if case == "avoid" else seg_nbhd_final[k]
-            slack = nbhd - ref
-            table = slack_avoid if case == "avoid" else slack_contain
-            if table[k] is None or slack < table[k]:
-                table[k] = slack
-            if slack < 0:
+    for c in np.flatnonzero(bad["avoid"] | bad["contain"]):
+        for case, (d, _) in cases.items():
+            if bad[case][c]:
+                bits = int(sets[c]) | d
                 violations.append(
-                    {"case": case, "k": k, "witness_hex": format(a_bits, f"0{width}x")}
+                    {"case": case, "k": bits.bit_count(), "witness_hex": format(bits, f"0{width}x")}
                 )
     return DiagonalSegmentReport(
         n=n,
-        min_slack_avoid=slack_avoid,
-        min_slack_contain=slack_contain,
+        min_slack_avoid=least["avoid"],
+        min_slack_contain=least["contain"],
         violations=violations,
     )
 

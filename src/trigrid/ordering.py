@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Coord, TriGrid, VertexSet, boundary
+from .core import Coord, TriGrid, VertexSet, _set_bits, boundary
 
 
 def triangular(j: int) -> int:
@@ -70,6 +70,7 @@ def _prefix_bits(grid: TriGrid, k: int) -> int:
 
 def rank_sum(grid: TriGrid, a: VertexSet) -> int:
     """Sum of simplicial positions over a set (the exchange potential)."""
+    _set_bits(grid, a)
     return sum(simplicial_rank(grid, v) for v in a)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bulk
 from .core import TriGrid, VertexSet, automorphism_id_permutations, json_int
 from .isoperimetry import lower_bound_certificate
 
@@ -243,34 +244,6 @@ def three_stage_strategy(grid: TriGrid) -> SearchTrace:
     return SearchTrace.from_searches(grid, k, searches)
 
 
-def _bit_tables(grid: TriGrid):
-    """Split-word lookup tables for spread, popcount, and symmetry images."""
-    nv = grid.vertex_count
-    lo = min(8, nv)
-    hi = nv - lo
-    lo_mask = (1 << lo) - 1
-    spread_lo = np.fromiter(
-        (grid.spread_bits(b) for b in range(1 << lo)), dtype=np.int64, count=1 << lo
-    )
-    spread_hi = np.fromiter(
-        (grid.spread_bits(b << lo) for b in range(1 << hi)), dtype=np.int64, count=1 << hi
-    )
-    pc_lo = np.fromiter((b.bit_count() for b in range(1 << lo)), dtype=np.int64)
-    pc_hi = np.fromiter((b.bit_count() for b in range(1 << hi)), dtype=np.int64)
-    perm_tabs = []
-    for perm in automorphism_id_permutations(grid)[1:]:
-        plo = np.zeros(1 << lo, dtype=np.int64)
-        phi = np.zeros(1 << hi, dtype=np.int64)
-        for b in range(1, 1 << lo):
-            low = b & -b
-            plo[b] = plo[b ^ low] | (1 << perm[low.bit_length() - 1])
-        for b in range(1, 1 << hi):
-            low = b & -b
-            phi[b] = phi[b ^ low] | (1 << perm[lo + low.bit_length() - 1])
-        perm_tabs.append((plo, phi))
-    return lo, lo_mask, spread_lo, spread_hi, pc_lo, pc_hi, perm_tabs
-
-
 def _clearable_with_budget(grid: TriGrid, m: int) -> bool:
     """Reachability of the empty dirty set under per-turn budget m.
 
@@ -284,13 +257,24 @@ def _clearable_with_budget(grid: TriGrid, m: int) -> bool:
     if m >= nv:
         return True
     full = grid.full_mask
-    lo, lo_mask, spread_lo, spread_hi, pc_lo, pc_hi, perm_tabs = _bit_tables(grid)
+    # Split-word tables over the low 8 bits and the rest, for the spread
+    # and for the images under the five non-identity symmetries.
+    lo = min(8, nv)
+    lo_mask = (1 << lo) - 1
+
+    def split(images):
+        return bulk.union_table(images[:lo]), bulk.union_table(images[lo:])
+
+    spread_lo, spread_hi = split([grid.spread_bits(1 << i) for i in range(nv)])
+    perm_tabs = [
+        split([1 << p for p in perm]) for perm in automorphism_id_permutations(grid)[1:]
+    ]
     combos = np.fromiter(
         (
             sum(1 << i for i in c)
             for c in itertools.combinations(range(nv), m)
         ),
-        dtype=np.int64,
+        dtype=np.uint64,
         count=math.comb(nv, m),
     )
     visited = np.zeros(1 << nv, dtype=bool)
@@ -304,7 +288,7 @@ def _clearable_with_budget(grid: TriGrid, m: int) -> bool:
                 return True
             p = d & ~cand
             succ = p | spread_lo[p & lo_mask] | spread_hi[p >> lo]
-            if ((pc_lo[succ & lo_mask] + pc_hi[succ >> lo]) <= m).any():
+            if (np.bitwise_count(succ) <= m).any():
                 return True  # small enough to finish next turn
             succ = succ[(succ | d) != succ]
             if succ.size == 0:

@@ -56,6 +56,24 @@ def interior_boundary_oracle(grid: TriGrid, members) -> set:
     return {v for v in inside if adj[v] - inside}
 
 
+def compress_oracle(grid: TriGrid, members, axis: int, side: str) -> set:
+    """Section compression by counting each section's members.
+
+    Section t is column v1 = t (axis 1) or row v2 = t (axis 2); its c
+    members become the interval {0, ..., c - 1} ("left") or
+    {n - t - c + 1, ..., n - t} ("right").
+    """
+    n = grid.n
+    sizes = [0] * (n + 1)
+    for v1, v2 in members:
+        sizes[v1 if axis == 1 else v2] += 1
+    out = set()
+    for t, c in enumerate(sizes):
+        span = range(c) if side == "left" else range(n - t - c + 1, n - t + 1)
+        out |= {(t, x) if axis == 1 else (x, t) for x in span}
+    return out
+
+
 def all_subsets(grid: TriGrid):
     for bits in range(1 << grid.vertex_count):
         yield VertexSet.from_bits(grid, bits)

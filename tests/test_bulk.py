@@ -11,7 +11,7 @@ from trigrid import (
 )
 from trigrid import bulk
 
-from helpers import all_subsets, boundary_oracle, neighborhood_oracle
+from helpers import all_subsets, boundary_oracle, compress_oracle, neighborhood_oracle
 
 SIDES = {"left": compress_left, "right": compress_right}
 
@@ -27,7 +27,7 @@ def _sets(g, rng):
     return mat
 
 
-@pytest.mark.parametrize("n", [1, 10, 13, 20, 30, 63])
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 6, 9, 10, 13, 20, 30, 63])
 def test_sizes_and_compress_match_scalar(n):
     # Rows of T_10 and beyond straddle 64-bit words of the dense ids;
     # row 0 of T_63 fills a whole word.
@@ -44,6 +44,9 @@ def test_sizes_and_compress_match_scalar(n):
         for side, op in SIDES.items():
             out = bulk.pack_rows(bulk.compress(g, mat, axis, side))
             assert out == [op(g, VertexSet.from_bits(g, b), axis).bits for b in rows]
+            # scalar and bulk share an algorithm, so both face the oracle too
+            want = [compress_oracle(g, VertexSet.from_bits(g, b), axis, side) for b in rows]
+            assert out == [g.set_of(w).bits for w in want]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

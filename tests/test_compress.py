@@ -5,7 +5,6 @@ import pytest
 
 from trigrid import (
     TriGrid,
-    VertexSet,
     compress_left,
     compress_right,
     initial_segment,
@@ -13,11 +12,10 @@ from trigrid import (
     neighborhood,
     rank_sum,
     reflect,
-    sections,
 )
 from trigrid import bulk
 
-from helpers import all_subsets, random_vertex_set
+from helpers import all_subsets, compress_oracle, random_vertex_set
 
 ALL_OPS = [
     (1, "left"),
@@ -29,28 +27,6 @@ ALL_OPS = [
 
 def _apply(g, a, axis, side):
     return (compress_left if side == "left" else compress_right)(g, a, axis)
-
-
-def test_sections_example():
-    g = TriGrid(3)
-    a = g.set_of([(1, 1), (2, 0)])
-    fam = sections(g, a, 1)
-    assert fam.sets == (frozenset(), frozenset({1}), frozenset({0}), frozenset())
-    assert fam.reassemble(g) == a
-    assert all(s == frozenset() for s in sections(g, g.empty_set(), 2).sets)
-    full = sections(g, g.full_set(), 1)
-    assert full.sets == tuple(frozenset(range(3 - t + 1)) for t in range(4))
-    with pytest.raises(ValueError):
-        sections(g, a, 3)
-
-
-def test_sections_reassemble_round_trip():
-    rng = random.Random(3)
-    g = TriGrid(5)
-    for _ in range(50):
-        a = random_vertex_set(g, rng)
-        for axis in (1, 2):
-            assert sections(g, a, axis).reassemble(g) == a
 
 
 def test_worked_compression_example():
@@ -172,28 +148,29 @@ def test_reflect_preserves_adjacency():
             assert set(g.neighbors(img)) == nbr_img
 
 
-def test_bulk_compress_matches_scalar():
-    rng = np.random.default_rng(8)
-    for n in (2, 4, 6):
-        g = TriGrid(n)
-        mat = bulk.random_subsets(g, 40, rng)
-        for axis, side in ALL_OPS:
-            out = bulk.compress(g, mat, axis, side)
-            for row_in, row_out in zip(bulk.pack_rows(mat), bulk.pack_rows(out)):
-                a = VertexSet.from_bits(g, row_in)
-                assert row_out == _apply(g, a, axis, side).bits
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compress_matches_oracle_on_every_subset(n):
+    g = TriGrid(n)
+    mat = bulk.subsets_from_ids(g, np.arange(1 << g.vertex_count, dtype=np.uint64))
+    for axis, side in ALL_OPS:
+        out = bulk.pack_rows(bulk.compress(g, mat, axis, side))
+        for a, bulk_bits in zip(all_subsets(g), out):
+            want = compress_oracle(g, a, axis, side)
+            assert {tuple(v) for v in _apply(g, a, axis, side)} == want
+            assert bulk_bits == g.set_of(want).bits
 
 
-def test_bulk_sizes_match_scalar():
-    from trigrid import boundary
+WRONG_GRID_CALLS = {
+    "compress_left": lambda g, a: compress_left(g, a, 1),
+    "compress_right": lambda g, a: compress_right(g, a, 2),
+    "is_compressed": lambda g, a: is_compressed(g, a, 1, "left"),
+    "reflect": lambda g, a: reflect(g, a, 2),
+}
 
-    rng = np.random.default_rng(9)
-    for n in (2, 5, 9):
-        g = TriGrid(n)
-        mat = bulk.random_subsets(g, 50, rng)
-        bsz = bulk.boundary_sizes(g, mat)
-        nsz = bulk.neighborhood_sizes(g, mat)
-        for i, bits in enumerate(bulk.pack_rows(mat)):
-            a = VertexSet.from_bits(g, bits)
-            assert bsz[i] == len(boundary(g, a))
-            assert nsz[i] == len(neighborhood(g, a))
+
+@pytest.mark.parametrize("name", WRONG_GRID_CALLS)
+def test_refuses_set_of_another_grid(name):
+    # (1, 1) and (2, 0) are vertices of T_5 too, so only the grid check refuses
+    a = TriGrid(3).set_of([(1, 1), (2, 0)])
+    with pytest.raises(ValueError, match="does not belong to this grid"):
+        WRONG_GRID_CALLS[name](TriGrid(5), a)

@@ -18,9 +18,15 @@ from trigrid import (
     sampled_check,
 )
 
+from trigrid import isoperimetry
 from trigrid.isoperimetry import _scan_range
 
-from helpers import all_subsets, boundary_oracle, interior_boundary_oracle
+from helpers import (
+    all_subsets,
+    boundary_oracle,
+    interior_boundary_oracle,
+    neighborhood_oracle,
+)
 
 
 def brute_min_boundary(g):
@@ -168,7 +174,7 @@ def test_sampled_check_order_limit():
 
 
 def test_diagonal_segment_check_small_orders():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         g = TriGrid(n)
         rep = diagonal_segment_check(g)
         assert rep.ok
@@ -198,8 +204,40 @@ def test_diagonal_segments_against_direct_enumeration():
 
 
 def test_diagonal_segment_check_order_limit():
-    with pytest.raises(ValueError):
-        diagonal_segment_check(TriGrid(5))
+    with pytest.raises(ValueError, match="n <= 6"):
+        diagonal_segment_check(TriGrid(7))
+
+
+def test_diagonal_check_matches_loop_over_counters(monkeypatch):
+    # Segments replaced by the full set make every set with a smaller
+    # neighborhood a violation.  The report must equal a plain loop over
+    # the off-diagonal counter: per-k minima, and violations by ascending
+    # counter with avoid before contain.
+    g = TriGrid(3)
+    nv = g.vertex_count
+    full = g.full_set()
+    monkeypatch.setattr(isoperimetry, "initial_segment", lambda grid, k: full)
+    monkeypatch.setattr(isoperimetry, "final_segment", lambda grid, k: full)
+    diag = {(v1, 3 - v1) for v1 in range(4)}
+    off = [i for i in range(nv) if tuple(g.coord(i)) not in diag]
+    least = {"avoid": [None] * (nv + 1), "contain": [None] * (nv + 1)}
+    violations = []
+    for counter in range(1 << len(off)):
+        bits = sum(1 << i for j, i in enumerate(off) if counter >> j & 1)
+        for case, extra in (("avoid", set()), ("contain", diag)):
+            a = {tuple(v) for v in VertexSet.from_bits(g, bits)} | extra
+            slack = len(neighborhood_oracle(g, a)) - nv
+            k = len(a)
+            if least[case][k] is None or slack < least[case][k]:
+                least[case][k] = slack
+            if slack < 0:
+                witness = format(g.set_of(a).bits, "03x")
+                violations.append({"case": case, "k": k, "witness_hex": witness})
+    rep = diagonal_segment_check(g)
+    assert rep.min_slack_avoid == least["avoid"]
+    assert rep.min_slack_contain == least["contain"]
+    assert rep.violations == violations
+    assert {v["case"] for v in violations} == {"avoid", "contain"}
 
 
 def test_certificate_examples():

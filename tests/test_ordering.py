@@ -165,6 +165,13 @@ def test_packing_minimum_examples():
         assert packing_minimum(g5, k) >= 0
 
 
+def test_rank_sum_refuses_set_of_another_grid():
+    a = TriGrid(3).set_of([(1, 1), (2, 0)])
+    assert rank_sum(TriGrid(3), a) == 7
+    with pytest.raises(ValueError, match="does not belong to this grid"):
+        rank_sum(TriGrid(5), a)
+
+
 def test_rank_sum_decreases_under_lowering_exchange():
     rng = random.Random(11)
     g = TriGrid(5)
