@@ -188,7 +188,7 @@ def compress(grid: TriGrid, mat: np.ndarray, axis: int, side: str) -> np.ndarray
     the hypotenuse count as members, so its own members end up against
     the hypotenuse.
     """
-    if axis not in (1, 2):
+    if type(axis) is not int or axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis!r}")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")

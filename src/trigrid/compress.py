@@ -14,14 +14,14 @@ transposition sort of the row words, which sorts every column at once.
 
 from __future__ import annotations
 
-from .core import TriGrid, VertexSet, _set_bits, automorphism_id_permutations
+from .core import TriGrid, VertexSet, _ids, _set_bits, automorphism_id_permutations
 
 AXES = (1, 2)
 SIDES = ("left", "right")
 
 
 def _check_axis(axis: int) -> int:
-    if axis not in AXES:
+    if type(axis) is not int or axis not in AXES:
         raise ValueError(f"axis must be 1 or 2, got {axis!r}")
     return axis
 
@@ -90,11 +90,5 @@ def reflect(grid: TriGrid, a: VertexSet, axis: int) -> VertexSet:
     matching reflection yields right compression.
     """
     _check_axis(axis)
-    bits = _set_bits(grid, a)
     perm = automorphism_id_permutations(grid)[4 if axis == 2 else 5]
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= 1 << perm[low.bit_length() - 1]
-        bits ^= low
-    return VertexSet.from_bits(grid, out)
+    return VertexSet.from_bits(grid, sum(1 << perm[i] for i in _ids(_set_bits(grid, a))))

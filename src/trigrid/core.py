@@ -378,6 +378,16 @@ def _set_bits(grid: TriGrid, a: VertexSet) -> int:
     return a.bits
 
 
+def _ids(bits: int) -> list[int]:
+    """Dense ids of the members of a bitmask, ascending."""
+    ids = []
+    while bits:
+        low = bits & -bits
+        ids.append(low.bit_length() - 1)
+        bits ^= low
+    return ids
+
+
 def boundary(grid: TriGrid, a: VertexSet) -> VertexSet:
     """Vertex boundary: vertices outside a adjacent to a member of a."""
     bits = _set_bits(grid, a)

@@ -13,7 +13,6 @@ import itertools
 import json
 import operator
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -22,36 +21,14 @@ from .core import (
     Coord,
     TriGrid,
     VertexSet,
-    automorphism_id_permutations,
+    _ids,
     coords_from_json,
     json_int,
 )
-from .search import SearchTrace, TraceError
+from .search import SearchTrace, TraceError, _reaches
 
 EXACT_ORDER_LIMIT = 2
 _STEPS = frozenset(NEIGHBOR_OFFSETS)
-
-
-def _edge_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a <= b else (b, a)
-
-
-def _block_traversed(base: int, cont: int, traversed: set, nbr_ids) -> int:
-    """Remove from base the vertices whose every spread route was traversed.
-
-    base is cont | spread(cont); a traversed edge blocks spread this turn,
-    and only endpoints of traversed edges can have lost a route, so
-    nbr_ids(v) (the neighbour ids of dense id v) is asked for those alone.
-    """
-    for a, b in traversed:
-        for v in (a, b):
-            if cont >> v & 1 or not base >> v & 1:
-                continue
-            if not any(
-                cont >> u & 1 and _edge_key(u, v) not in traversed for u in nbr_ids(v)
-            ):
-                base &= ~(1 << v)
-    return base
 
 
 def _mask(ids) -> int:
@@ -59,6 +36,28 @@ def _mask(ids) -> int:
     for i in ids:
         bits |= 1 << i
     return bits
+
+
+def _contaminate(grid: TriGrid, cont: int, moves, occupied: int) -> int:
+    """Contamination bits after a turn, on dense ids.
+
+    moves holds (from_id, to_id) pairs, one per lion; a lion that stays has
+    from_id == to_id.  cont spreads along every edge no lion traversed and
+    never rests on occupied.  Only an endpoint of a traversed edge loses a
+    route, so the rest of cont spreads at once and each contaminated
+    endpoint spreads alone, minus its partners across traversed edges.
+    """
+    partners: dict[int, int] = {}
+    ends = 0
+    for a, b in moves:
+        if a != b:
+            partners[a] = partners.get(a, 0) | 1 << b
+            partners[b] = partners.get(b, 0) | 1 << a
+            ends |= 1 << a | 1 << b
+    out = cont | grid.spread_bits(cont & ~ends)
+    for u in _ids(cont & ends):
+        out |= grid.spread_bits(1 << u) & ~partners[u]
+    return out & ~occupied
 
 
 def _legal_moves(grid: TriGrid, positions: Sequence[Coord], turn) -> list[tuple[int, Coord]]:
@@ -102,19 +101,13 @@ def _turn(
     """
     moves = _legal_moves(grid, positions, turn)
     moved = list(positions)
-    traversed = set()
+    traversed = []
     for idx, dest in moves:
         moved[idx] = dest
         dest_id = grid.index(dest)
-        traversed.add(_edge_key(ids[idx], dest_id))
+        traversed.append((ids[idx], dest_id))
         ids[idx] = dest_id
-    base = _block_traversed(
-        cont | grid.spread_bits(cont),
-        cont,
-        traversed,
-        lambda v: [grid.index(u) for u in grid.neighbors(grid.coord(v))],
-    )
-    return tuple(moved), base & ~_mask(ids)
+    return tuple(moved), _contaminate(grid, cont, traversed, _mask(ids))
 
 
 def lion_step(
@@ -286,69 +279,45 @@ def random_legal_walk(
     return LionTrace.from_moves(grid, start, turn_list)
 
 
-def _canonical_placements(grid: TriGrid, lions: int) -> list[tuple[int, ...]]:
-    perms = automorphism_id_permutations(grid)
-    seen = set()
-    out = []
-    for combo in itertools.combinations_with_replacement(range(grid.vertex_count), lions):
-        key = min(tuple(sorted(p[i] for i in combo)) for p in perms)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
+def _lions_can_clear(grid: TriGrid, lions: int) -> bool:
+    """Whether some placement of the lions has a clearing schedule.
 
-
-def _lions_win_from(grid: TriGrid, start_ids: tuple[int, ...]) -> bool:
+    One breadth-first search from every placement at once, over states
+    (positions as sorted ids, contamination bits); every simultaneous move
+    product, swaps and stacking included, is played through _contaminate.
+    """
     nv = grid.vertex_count
-    full = grid.full_mask
-    nbr_ids = [
-        [grid.index(u) for u in grid.neighbors(grid.coord(i))] for i in range(nv)
+    options = [[v] + _ids(grid.spread_bits(1 << v)) for v in range(nv)]  # stay first
+    starts = [
+        (pos, grid.full_mask & ~_mask(pos))
+        for pos in itertools.combinations_with_replacement(range(nv), lions)
     ]
-    options = [[i] + nbr_ids[i] for i in range(nv)]  # stay first
-    occ0 = 0
-    for i in start_ids:
-        occ0 |= 1 << i
-    cont0 = full & ~occ0
-    if cont0 == 0:
-        return True
-    start_key = (tuple(sorted(start_ids)), cont0)
-    visited = {start_key}
-    queue = deque([(start_ids, cont0)])
-    while queue:
-        pos, cont = queue.popleft()
-        spread = grid.spread_bits(cont)
+
+    def expand(state):
+        pos, cont = state
+        succ = []
         for dests in itertools.product(*(options[p] for p in pos)):
-            traversed = set()
-            occ = 0
-            for prev, dest in zip(pos, dests):
-                occ |= 1 << dest
-                if dest != prev:
-                    traversed.add(_edge_key(prev, dest))
-            base = _block_traversed(cont | spread, cont, traversed, nbr_ids.__getitem__)
-            new_cont = base & ~occ
-            if new_cont == 0:
-                return True
-            key = (tuple(sorted(dests)), new_cont)
-            if key not in visited:
-                visited.add(key)
-                queue.append((dests, new_cont))
-    return False
+            new = _contaminate(grid, cont, zip(pos, dests), _mask(dests))
+            if not new:
+                return None
+            succ.append((tuple(sorted(dests)), new))
+        return succ
+
+    return _reaches(starts, expand)
 
 
 def exact_lion_number(grid: TriGrid, max_l: int) -> int | None:
     """Least lion count with a clearing schedule, or None past max_l (n <= 2).
 
-    Tries every initial placement up to the triangle's symmetries, then
-    breadth-first search over (positions up to permutation, contamination)
-    states; all simultaneous move combinations, including swaps and
-    stacking, are explored.
+    For each count, breadth-first search from every initial placement over
+    (positions up to permutation, contamination) states; all simultaneous
+    move combinations, including swaps and stacking, are explored.
     """
     if grid.n > EXACT_ORDER_LIMIT:
         raise ValueError(f"exact lion solving supports n <= {EXACT_ORDER_LIMIT}")
     if max_l < 1:
         raise ValueError(f"max_l must be at least 1, got {max_l}")
     for lions in range(1, max_l + 1):
-        for start in _canonical_placements(grid, lions):
-            if _lions_win_from(grid, start):
-                return lions
+        if _lions_can_clear(grid, lions):
+            return lions
     return None

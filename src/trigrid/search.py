@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bulk
-from .core import TriGrid, VertexSet, automorphism_id_permutations, json_int
+from .core import TriGrid, VertexSet, _ids, automorphism_id_permutations, json_int
 from .isoperimetry import lower_bound_certificate
 
 EXACT_ORDER_LIMIT = 4
@@ -124,16 +124,6 @@ class SearchTrace:
             if len(stored) != len(replayed):
                 raise TraceError("dirty checksum count does not match turn count")
         return trace
-
-
-def _ids(bits: int) -> list[int]:
-    """Dense ids of the members of a bitmask, ascending."""
-    ids = []
-    while bits:
-        low = bits & -bits
-        ids.append(low.bit_length() - 1)
-        bits ^= low
-    return ids
 
 
 def _json_array(items: list[str], indent: str) -> str:
@@ -244,6 +234,28 @@ def three_stage_strategy(grid: TriGrid) -> SearchTrace:
     return SearchTrace.from_searches(grid, k, searches)
 
 
+def _reaches(starts, expand) -> bool:
+    """Level-by-level breadth-first search over hashable states.
+
+    expand(state) returns the successors of a state, or None when one of
+    them wins; True as soon as one does, False once no unseen state is left.
+    """
+    frontier = list(dict.fromkeys(starts))
+    seen = set(frontier)
+    while frontier:
+        nxt = []
+        for state in frontier:
+            succ = expand(state)
+            if succ is None:
+                return True
+            for s in succ:
+                if s not in seen:
+                    seen.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return False
+
+
 def _clearable_with_budget(grid: TriGrid, m: int) -> bool:
     """Reachability of the empty dirty set under per-turn budget m.
 
@@ -256,7 +268,6 @@ def _clearable_with_budget(grid: TriGrid, m: int) -> bool:
     nv = grid.vertex_count
     if m >= nv:
         return True
-    full = grid.full_mask
     # Split-word tables over the low 8 bits and the rest, for the spread
     # and for the images under the five non-identity symmetries.
     lo = min(8, nv)
@@ -277,31 +288,22 @@ def _clearable_with_budget(grid: TriGrid, m: int) -> bool:
         dtype=np.uint64,
         count=math.comb(nv, m),
     )
-    visited = np.zeros(1 << nv, dtype=bool)
-    visited[full] = True
-    frontier = [full]
-    while frontier:
-        collected = []
-        for d in frontier:
-            cand = combos[(combos & d) == combos]
-            if cand.size == 0:  # fewer than m dirty vertices: search them all
-                return True
-            p = d & ~cand
-            succ = p | spread_lo[p & lo_mask] | spread_hi[p >> lo]
-            if (np.bitwise_count(succ) <= m).any():
-                return True  # small enough to finish next turn
-            succ = succ[(succ | d) != succ]
-            if succ.size == 0:
-                continue
-            best = succ
-            for plo, phi in perm_tabs:
-                best = np.minimum(best, plo[succ & lo_mask] | phi[succ >> lo])
-            best = np.unique(best)
-            fresh = best[~visited[best]]
-            visited[fresh] = True
-            collected.append(fresh)
-        frontier = np.concatenate(collected).tolist() if collected else []
-    return False
+
+    def expand(d):
+        cand = combos[(combos & d) == combos]
+        if cand.size == 0:  # fewer than m dirty vertices: search them all
+            return None
+        p = d & ~cand
+        succ = p | spread_lo[p & lo_mask] | spread_hi[p >> lo]
+        if (np.bitwise_count(succ) <= m).any():
+            return None  # small enough to finish next turn
+        succ = succ[(succ | d) != succ]
+        best = succ
+        for plo, phi in perm_tabs:
+            best = np.minimum(best, plo[succ & lo_mask] | phi[succ >> lo])
+        return np.unique(best).tolist()
+
+    return _reaches([grid.full_mask], expand)
 
 
 def exact_inspection_number(grid: TriGrid, max_m: int) -> int | None:

@@ -5,6 +5,7 @@ families, explicit set arithmetic, unpruned breadth-first search) so the
 library's optimized paths are checked against genuinely separate code.
 """
 
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from trigrid import Coord, TriGrid, VertexSet
@@ -124,30 +125,42 @@ def search_clearable_oracle(grid: TriGrid, m: int) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
+def _adjacency(n: int) -> dict:
+    return {v: frozenset(us) for v, us in adjacency_oracle(TriGrid(n)).items()}
+
+
+def lion_turn_oracle(grid: TriGrid, pos, dests, cont) -> frozenset:
+    """One simultaneous lion turn by the rule read literally, on coordinates.
+
+    pos and dests are the lions' vertices before and after the turn, as
+    (v1, v2) tuples; cont is the set of contaminated (v1, v2) tuples.  A
+    vertex ends contaminated when no lion stands on it and it was
+    contaminated or has a contaminated neighbour across an edge no lion
+    traversed.
+    """
+    adj = _adjacency(grid.n)
+    traversed = {frozenset({p, d}) for p, d in zip(pos, dests) if p != d}
+    occupied = set(dests)
+    new = set()
+    for v in adj:
+        if v in occupied:
+            continue
+        if v in cont:
+            new.add(v)
+            continue
+        for u in adj[v]:
+            if u in cont and frozenset({u, v}) not in traversed:
+                new.add(v)
+                break
+    return frozenset(new)
+
+
 def lions_clearable_oracle(grid: TriGrid, lions: int) -> bool:
     """Unpruned lion-game reachability over every start, via plain sets."""
-    adj = adjacency_oracle(grid)
+    adj = _adjacency(grid.n)
     verts = sorted(adj)
     moves = {v: [v] + sorted(adj[v]) for v in verts}
-
-    def transition(pos, dests, cont):
-        traversed = {
-            frozenset({p, d}) for p, d in zip(pos, dests) if p != d
-        }
-        occupied = set(dests)
-        new = set()
-        for v in verts:
-            if v in occupied:
-                continue
-            if v in cont:
-                new.add(v)
-                continue
-            for u in adj[v]:
-                if u in cont and frozenset({u, v}) not in traversed:
-                    new.add(v)
-                    break
-        return frozenset(new)
-
     for start in combinations_with_replacement(verts, lions):
         cont0 = frozenset(set(verts) - set(start))
         if not cont0:
@@ -158,7 +171,7 @@ def lions_clearable_oracle(grid: TriGrid, lions: int) -> bool:
             nxt = []
             for pos, cont in frontier:
                 for dests in product(*(moves[p] for p in pos)):
-                    new = transition(pos, dests, cont)
+                    new = lion_turn_oracle(grid, pos, dests, cont)
                     if not new:
                         return True
                     key = (tuple(sorted(dests)), new)

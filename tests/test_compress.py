@@ -174,3 +174,23 @@ def test_refuses_set_of_another_grid(name):
     a = TriGrid(3).set_of([(1, 1), (2, 0)])
     with pytest.raises(ValueError, match="does not belong to this grid"):
         WRONG_GRID_CALLS[name](TriGrid(5), a)
+
+
+AXIS_CALLS = {
+    "compress_left": lambda g, a, axis: compress_left(g, a, axis),
+    "compress_right": lambda g, a, axis: compress_right(g, a, axis),
+    "is_compressed": lambda g, a, axis: is_compressed(g, a, axis, "left"),
+    "reflect": lambda g, a, axis: reflect(g, a, axis),
+    "bulk.compress": lambda g, a, axis: bulk.compress(
+        g, bulk.subsets_from_ids(g, np.array([a.bits], dtype=np.uint64)), axis, "left"
+    ),
+}
+
+
+@pytest.mark.parametrize("axis", [True, 2.0, "1", 3], ids=repr)
+@pytest.mark.parametrize("name", AXIS_CALLS)
+def test_refuses_axis_that_is_not_1_or_2(name, axis):
+    # True == 1 and 2.0 == 2, so only the type check refuses those two
+    g = TriGrid(3)
+    with pytest.raises(ValueError, match="axis must be 1 or 2"):
+        AXIS_CALLS[name](g, g.set_of([(1, 1), (2, 0)]), axis)

@@ -19,7 +19,7 @@ from trigrid import (
     verify_trace,
 )
 
-from helpers import adjacency_oracle, lions_clearable_oracle
+from helpers import adjacency_oracle, lion_turn_oracle, lions_clearable_oracle
 
 # Digests of the column sweep as first replayed from coordinates; the
 # id-level replay must reproduce it bit for bit.
@@ -308,6 +308,43 @@ def test_exact_lion_number_t2_matches_oracle():
     assert val == 3
     assert not lions_clearable_oracle(g, 2)  # independent confirmation of > 2
     assert column_sweep_strategy(g).is_winning()  # and of <= 3
+
+
+def test_solver_matches_oracle_one_order_past_the_cap():
+    from trigrid.lions import _lions_can_clear
+
+    for n, counts in ((1, (1, 2)), (2, (1, 2, 3)), (3, (1, 2))):
+        g = TriGrid(n)
+        for lions in counts:
+            assert _lions_can_clear(g, lions) == lions_clearable_oracle(g, lions)
+
+
+def test_lion_step_matches_turn_oracle_on_random_turns():
+    rng = random.Random(2024)
+    seen = {"swap": 0, "stack": 0, "into contaminated": 0}
+    for n in range(1, 7):
+        g = TriGrid(n)
+        adj = adjacency_oracle(g)
+        verts = sorted(adj)
+        for _ in range(120):
+            pos = [rng.choice(verts) for _ in range(rng.randrange(1, 5))]
+            dests = [rng.choice([p] + sorted(adj[p])) for p in pos]
+            if len(pos) > 1 and rng.random() < 0.3:  # the first two lions swap
+                u = rng.choice(verts)
+                v = rng.choice(sorted(adj[u]))
+                pos[:2], dests[:2] = [u, v], [v, u]
+            cont = {v for v in verts if rng.random() < 0.5}
+            seen["swap"] += any(
+                p != d and (d, p) in zip(pos, dests) for p, d in zip(pos, dests)
+            )
+            seen["stack"] += len(set(dests)) < len(dests)
+            seen["into contaminated"] += any(p != d and d in cont for p, d in zip(pos, dests))
+            # a lion that stays is named by None or by its own vertex
+            named = [None if d == p and rng.random() < 0.5 else d for p, d in zip(pos, dests)]
+            new_pos, new_cont = lion_step(g, pos, named, g.set_of(cont))
+            assert [tuple(v) for v in new_pos] == dests
+            assert {tuple(v) for v in new_cont} == lion_turn_oracle(g, pos, dests, cont)
+    assert min(seen.values()) > 20, seen
 
 
 def test_exact_lion_order_limit():

@@ -183,12 +183,33 @@ def test_exact_solver_matches_unpruned_oracle():
             assert _clearable_with_budget(g, m) == search_clearable_oracle(g, m)
 
 
-def test_exact_solver_matches_oracle_t3():
-    g = TriGrid(3)
+def test_exact_solver_matches_oracle_t3_t4():
     from trigrid.search import _clearable_with_budget
 
-    for m in (3, 4):
+    for n, m in ((3, 3), (3, 4), (4, 4)):
+        g = TriGrid(n)
         assert _clearable_with_budget(g, m) == search_clearable_oracle(g, m)
+
+
+def test_reaches_stops_at_a_win_or_when_states_run_out():
+    from trigrid.search import _reaches
+
+    expanded = []
+
+    def walk(goal):
+        # states 0..9; s steps to s + 1 and 2s, both mod 10
+        def expand(s):
+            expanded.append(s)
+            succ = [(s + 1) % 10, 2 * s % 10]
+            return None if goal in succ else succ
+
+        return expand
+
+    assert _reaches([3, 3], walk(5))
+    assert expanded == [3, 4]  # level by level, a repeated start once
+    expanded.clear()
+    assert not _reaches([0], walk(10))
+    assert sorted(expanded) == list(range(10))  # every state, once each
 
 
 def test_inspection_number_small_orders():
