@@ -7,6 +7,7 @@ vertex (c, r), cut from the row's run of dense ids), works on those
 words with shifts and np.bitwise_count, and unpacks once when it
 returns a matrix.
 A grid row holds at most n + 1 vertices, so every kernel refuses n > 63.
+Each function imports numpy itself, so importing trigrid does not.
 These back the large exhaustive and randomized sweeps; the scalar
 operations in core/compress are the reference implementations they are
 tested against.
@@ -14,14 +15,10 @@ tested against.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .core import TriGrid
 
 ORDER_LIMIT = 63  # the longest row, n + 1 vertices, must fit one uint64 word
 _BLOCK = 1 << 12  # sets per kernel pass; a block's words stay in cache
-
-_ONE = np.uint64(1)
 
 
 def _check_order(grid: TriGrid) -> None:
@@ -34,6 +31,8 @@ def _check_order(grid: TriGrid) -> None:
 
 def _blockwise(grid: TriGrid, mat: np.ndarray, kernel) -> np.ndarray:
     """kernel(row words) over blocks of _BLOCK sets, results concatenated."""
+    import numpy as np
+
     _check_order(grid)
     mat = np.asarray(mat)
     nv = grid.vertex_count
@@ -52,6 +51,8 @@ def _blockwise(grid: TriGrid, mat: np.ndarray, kernel) -> np.ndarray:
 
 def _row_words(grid: TriGrid, mat: np.ndarray) -> np.ndarray:
     """(n + 1, count) uint64: bit c of word r is vertex (c, r) of each set."""
+    import numpy as np
+
     nv = grid.vertex_count
     raw = np.zeros((mat.shape[0], 8 * -(-nv // 64)), dtype=np.uint8)
     raw[:, : (nv + 7) // 8] = np.packbits(mat, axis=1, bitorder="little")
@@ -68,6 +69,8 @@ def _row_words(grid: TriGrid, mat: np.ndarray) -> np.ndarray:
 
 def _membership(grid: TriGrid, words: np.ndarray) -> np.ndarray:
     """Inverse of _row_words: the (count, vertex_count) uint8 matrix."""
+    import numpy as np
+
     nv = grid.vertex_count
     dense = np.zeros((words.shape[1], -(-nv // 64)), dtype=np.uint64)
     for r, (off, mask) in enumerate(zip(grid._row_offset, grid._row_mask)):
@@ -79,6 +82,8 @@ def _membership(grid: TriGrid, words: np.ndarray) -> np.ndarray:
 
 
 def _row_masks(grid: TriGrid) -> np.ndarray:
+    import numpy as np
+
     return np.array(grid._row_mask, dtype=np.uint64)[:, None]
 
 
@@ -112,7 +117,10 @@ def _sort_columns(words: np.ndarray) -> np.ndarray:
 
 def _low_bits(b: np.ndarray) -> np.ndarray:
     """Words with the low b bits set; numpy shifts by 64 give 0, so b = 64 is all ones."""
-    return (_ONE << b) - _ONE
+    import numpy as np
+
+    one = np.uint64(1)
+    return (one << b) - one
 
 
 def union_table(images) -> np.ndarray:
@@ -124,6 +132,8 @@ def union_table(images) -> np.ndarray:
     permutation of ids, is tabulated over a bit field by its images of
     the single bits.  Every image must fit 64 bits.
     """
+    import numpy as np
+
     table = np.zeros(1, dtype=np.uint64)
     for image in images:
         table = np.concatenate((table, table | np.uint64(image)))
@@ -132,6 +142,8 @@ def union_table(images) -> np.ndarray:
 
 def subsets_from_ids(grid: TriGrid, ids: np.ndarray) -> np.ndarray:
     """Membership matrix for subset counter values (bit j = dense id j)."""
+    import numpy as np
+
     _check_order(grid)
     nv = grid.vertex_count
     if nv > 64:
@@ -150,18 +162,34 @@ def subsets_from_ids(grid: TriGrid, ids: np.ndarray) -> np.ndarray:
 
 
 def random_subsets(grid: TriGrid, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count independent uniform subsets (each vertex in with probability 1/2)."""
+    """count independent uniform subsets (each vertex in with probability 1/2).
+
+    The same matrix, and the same generator state after it, as
+    rng.integers(0, 2, size=(count, V), dtype=np.uint8).  For a range of
+    two, numpy keeps bit 7 of each byte of consecutive 32-bit outputs,
+    low byte first; drawing those outputs whole skips its per-byte loop.
+    """
+    import numpy as np
+
     _check_order(grid)
-    return rng.integers(0, 2, size=(count, grid.vertex_count), dtype=np.uint8)
+    nv = grid.vertex_count
+    words = rng.integers(0, 1 << 32, size=-(-count * nv // 4), dtype=np.uint32)
+    cells = words.astype("<u4", copy=False).view(np.uint8)[: count * nv]
+    cells >>= 7  # in place: the matrix takes no more memory than the draw
+    return cells.reshape(count, nv)
 
 
 def pack_rows(mat: np.ndarray) -> list[int]:
     """Each row as a Python bitmask int (for cross-checks with VertexSet)."""
+    import numpy as np
+
     packed = np.packbits(mat.astype(np.uint8), axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def boundary_sizes(grid: TriGrid, mat: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     def kernel(words):
         out = _spread(grid, words)
         out &= ~words
@@ -171,6 +199,8 @@ def boundary_sizes(grid: TriGrid, mat: np.ndarray) -> np.ndarray:
 
 
 def neighborhood_sizes(grid: TriGrid, mat: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     def kernel(words):
         out = _spread(grid, words)
         out |= words
@@ -188,6 +218,8 @@ def compress(grid: TriGrid, mat: np.ndarray, axis: int, side: str) -> np.ndarray
     the hypotenuse count as members, so its own members end up against
     the hypotenuse.
     """
+    import numpy as np
+
     if type(axis) is not int or axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis!r}")
     if side not in ("left", "right"):

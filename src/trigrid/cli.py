@@ -205,6 +205,8 @@ def dispatch(config: RunConfig) -> Report:
     cpus = os.cpu_count() or 1
     if not 1 <= config.threads <= cpus:
         raise ValueError(f"--threads must be in 1..{cpus}, got {config.threads}")
+    if config.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {config.seed}")
     t0 = time.perf_counter()
     payload, ok, text = run(config.params, config)
     return Report(

@@ -249,9 +249,20 @@ class VertexSet:
 
     @classmethod
     def from_pairs(cls, grid: TriGrid, pairs) -> "VertexSet":
-        """Inverse of to_pairs, decoding as strictly as coords_from_json."""
+        """Inverse of to_pairs, decoding as strictly as coords_from_json.
+
+        A [v1, v2] list of two in-grid ints takes the direct path; any
+        other entry goes through _json_pair and index, which accept
+        tuples and word the errors.
+        """
+        n, offset = grid.n, grid._row_offset
         bits = 0
         for p in _json_list(pairs):
+            if type(p) is list and len(p) == 2:
+                v1, v2 = p
+                if type(v1) is type(v2) is int and v1 >= 0 and v2 >= 0 and v1 + v2 <= n:
+                    bits |= 1 << (offset[v2] + v1)
+                    continue
             bits |= 1 << grid.index(_json_pair(p))
         return cls.from_bits(grid, bits)
 

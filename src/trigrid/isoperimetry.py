@@ -9,10 +9,7 @@ lower bounds.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import bulk
 from .core import TriGrid, VertexSet, neighborhood
@@ -70,6 +67,8 @@ def _scan_range(n: int, start: int, stop: int) -> tuple[list[int], list[int]]:
     The spreads of every low pattern are tabulated once by union_table;
     each chunk then needs one spread_bits call and a few popcounts.
     """
+    import numpy as np
+
     grid = TriGrid(n)
     nv = grid.vertex_count
     table = bulk.union_table(grid.spread_bits(1 << j) for j in range(min(nv, _CHUNK_BITS)))
@@ -115,6 +114,8 @@ def exhaustive_min_boundary(
     nv = grid.vertex_count
     total = 1 << nv
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         shard = -(-total // workers)
         ranges = [(n, s, min(s + shard, total)) for s in range(0, total, shard)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -175,6 +176,8 @@ def sampled_check(grid: TriGrid, samples: int, seed: int) -> SampledReport:
     A violation would falsify the inequality and therefore indicates an
     implementation bug; the report carries the offending witnesses.
     """
+    import numpy as np
+
     if grid.n > SAMPLED_ORDER_LIMIT:
         raise ValueError(f"sampled check supports n <= {SAMPLED_ORDER_LIMIT}")
     if samples < 1:
@@ -253,6 +256,8 @@ def diagonal_segment_check(grid: TriGrid) -> DiagonalSegmentReport:
     and its spread for every counter at once, and a set's closed
     neighborhood is D | X | spread(D) | spread(X).
     """
+    import numpy as np
+
     if grid.n > DIAGONAL_CHECK_ORDER_LIMIT:
         raise ValueError(f"exhaustive diagonal check supports n <= {DIAGONAL_CHECK_ORDER_LIMIT}")
     n = grid.n

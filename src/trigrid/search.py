@@ -15,8 +15,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import bulk
 from .core import TriGrid, VertexSet, _ids, automorphism_id_permutations, json_int
 from .isoperimetry import lower_bound_certificate
@@ -265,6 +263,8 @@ def _clearable_with_budget(grid: TriGrid, m: int) -> bool:
     up to the 6 triangle symmetries; successors containing their parent
     are dropped (the parent already dominates them).
     """
+    import numpy as np
+
     nv = grid.vertex_count
     if m >= nv:
         return True

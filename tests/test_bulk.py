@@ -90,6 +90,27 @@ def test_subsets_from_ids_refuses_grids_over_64_vertices():
         bulk.subsets_from_ids(TriGrid(10), [1])
 
 
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+def test_random_subsets_draws_as_integers_0_2(bitgen):
+    # Same matrix and same generator state as the per-vertex reference
+    # draw; c * V odd leaves part of the last 32-bit output unused.
+    for n, count in [(1, 0), (1, 1), (2, 3), (3, 7), (9, 5), (20, 65), (30, 4097)]:
+        g = TriGrid(n)
+        for seed in (0, 1, 7):
+            fast = np.random.Generator(bitgen(seed))
+            ref = np.random.Generator(bitgen(seed))
+            mat = bulk.random_subsets(g, count, fast)
+            want = ref.integers(0, 2, size=(count, g.vertex_count), dtype=np.uint8)
+            assert mat.dtype == np.uint8 and mat.shape == want.shape
+            assert (mat == want).all()
+            # Follow-up draws of 32- and 64-bit outputs see the same state.
+            after = [
+                [*rng.integers(0, 1 << 32, 5, dtype=np.uint32), *rng.random(3)]
+                for rng in (fast, ref)
+            ]
+            assert after[0] == after[1]
+
+
 def test_every_kernel_refuses_orders_above_63():
     rng = np.random.default_rng(0)
     g, big = TriGrid(63), TriGrid(64)

@@ -324,3 +324,16 @@ def test_threads_out_of_range_is_usage_error(capsys, threads):
     code, out, err = run(capsys, "render", "--n", "1", "--threads", threads)
     assert code == EXIT_USAGE and out == ""
     assert "--threads" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "simulate", "--n", "3"],
+        ["verify-isoperimetry", "--n", "9", "--samples", "10"],
+    ],
+)
+def test_negative_seed_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: --seed must be non-negative, got -1\n"

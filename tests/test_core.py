@@ -316,6 +316,30 @@ def test_vertex_set_serialization_round_trips():
         VertexSet.from_bits(g, 1 << g.vertex_count)
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ([True, 0], "v1 must be an integer, got True"),
+        ([1.0, 0], "v1 must be an integer, got 1.0"),
+        ([0, False], "v2 must be an integer, got False"),
+        ([1, 0, 0], "expected a [v1, v2] pair, got [1, 0, 0]"),
+        ([-1, 0], "(-1, 0) is not a vertex of T_3"),
+        ([2, 2], "(2, 2) is not a vertex of T_3"),
+    ],
+)
+def test_from_pairs_refuses_entries_the_direct_path_skips(entry, message):
+    g = TriGrid(3)
+    with pytest.raises(ValueError) as info:
+        VertexSet.from_pairs(g, [[0, 0], entry])
+    assert str(info.value) == message
+
+
+def test_from_pairs_accepts_tuples_and_repeats():
+    g = TriGrid(3)
+    a = VertexSet.from_pairs(g, [(1, 0), [0, 3], [1, 0], (0, 3)])
+    assert a == g.set_of([(1, 0), (0, 3)])
+
+
 def test_iteration_and_pairs_in_row_major_order():
     rng = random.Random(41)
     for n in (1, 2, 5, 13, 30):

@@ -1,0 +1,54 @@
+"""Which modules a fresh interpreter loads for trigrid and its CLI.
+
+numpy and the process pool cost most of a short command's wall time, so
+they are imported by the functions that use them, not by the package.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CHILD = """
+import contextlib, io, json, sys
+import trigrid, trigrid.cli
+
+HEAVY = ("numpy", "concurrent.futures", "multiprocessing")
+
+def loaded():
+    return [m for m in HEAVY if m in sys.modules]
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return trigrid.cli.main(list(argv))
+
+state = {"bulk": "trigrid.bulk" in sys.modules, "import": loaded()}
+state["search simulate"] = (run("search", "simulate", "--n", "5"), loaded())
+state["lions exact"] = (run("lions", "exact", "--n", "2", "--max-l", "3"), loaded())
+state["exhaustive"] = (
+    run("verify-isoperimetry", "--n", "3", "--exhaustive"),
+    "numpy" in sys.modules,
+)
+print(json.dumps(state))
+"""
+
+
+def test_cli_loads_numpy_only_for_batch_kernels():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    state = json.loads(proc.stdout)
+    assert state["bulk"] is True  # every submodule is still imported eagerly
+    assert state["import"] == []
+    assert state["search simulate"] == [0, []]
+    assert state["lions exact"] == [0, []]
+    assert state["exhaustive"] == [0, True]
