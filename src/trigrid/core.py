@@ -33,19 +33,23 @@ class TriGrid:
     left to right within a row), so each row occupies a contiguous bit
     range in set bitmasks.
 
-    For spread_bits the grid also holds a fixed expand network.  It moves
-    row r from its dense offset to r * (n + 2), a board whose rows all
-    have stride n + 2 and so end in at least one guard bit.  Row r moves
-    by d_r = r(r + 1) / 2, which never decreases with r, so one stage per
-    bit of d_n does it: from the top bit down, stage b shifts the rows
-    whose d_r has bit b set by 2^b, and no two rows ever overlap.  This
-    is the expand/compress of Hacker's Delight with row runs as the
-    elements.  _stages holds (2^b, rows to move, where they land) per
-    stage, top bit first; _valid is the vertices on the padded board.
+    For spread_bits the grid also holds a fixed row-shift network on
+    dense ids.  The up move (v1, r) -> (v1, r + 1) is id + (n + 1) - r:
+    shift the set left by n + 1, then shift each row r right by r, one
+    stage per bit of r, lowest bit first (stage b shifts the rows whose r
+    has bit b set by 2^b).  The input drops each row's last vertex, which
+    has no vertex above it; that gives every row one bit of slack, so no
+    two rows ever overlap.  The down move runs the stages in reverse and
+    then shifts right by n + 1; row 0, which has no row below it, lies
+    below every stage mask and falls off in that shift.  _stages
+    holds (2^b, rows to move, where they land) per stage, low bit first;
+    _not_first and _not_last are the vertices off the first and the
+    last column.
     """
 
     __slots__ = (
-        "n", "vertex_count", "full_mask", "_row_offset", "_row_mask", "_stages", "_valid",
+        "n", "vertex_count", "full_mask", "_row_offset", "_row_mask",
+        "_stages", "_not_first", "_not_last",
     )
 
     def __init__(self, n: int):
@@ -61,7 +65,10 @@ class TriGrid:
             off += n - r + 1
         self._row_offset = tuple(offsets)
         self._row_mask = tuple((1 << (n - r + 1)) - 1 for r in range(n + 1))
-        self._stages, self._valid = _padded_board(self)
+        self._stages = _row_shift_stages(self)
+        lasts = [o - 1 for o in offsets[1:]] + [off - 1]
+        self._not_first = self.full_mask ^ _sum_of_powers(offsets, off)
+        self._not_last = self.full_mask ^ _sum_of_powers(lasts, off)
 
     def __repr__(self) -> str:
         return f"TriGrid({self.n})"
@@ -140,25 +147,26 @@ class TriGrid:
     def spread_bits(self, bits: int) -> int:
         """Union of the (strict) neighbor sets of all members of a bitmask.
 
-        No per-row loop: the expand network moves the dense rows onto the
-        padded board of stride S = n + 2, where the six edge directions
-        are the shifts +-1, +-S and +-(S - 1) and the guard bits stop
-        any wrap between rows; masking with the board's vertices and
-        running the stages in reverse brings the result back to dense ids.
+        No per-row loop.  side, the set minus its last column, moves one
+        column right as side << 1; flat, the set minus its first column,
+        moves one column left as flat >> 1.  The up network lifts side
+        and flat >> 1 together, so it covers the steps (0, +1) and
+        (-1, +1) at once.  The down network lowers the whole set, and its
+        output and that output one column right cover (0, -1) and (+1, -1).
         """
         stages = self._stages
-        x = bits
+        side = bits & self._not_last
+        flat = bits & self._not_first
+        up = (side | flat >> 1) << (self.n + 1)
         for shift, rows, _ in stages:
-            t = x & rows
-            x = x ^ t | t << shift
-        s = self.n + 2
-        x = (
-            (x << 1) | (x >> 1) | (x << s) | (x >> s) | (x << (s - 1)) | (x >> (s - 1))
-        ) & self._valid
+            t = up & rows
+            up = up ^ t | t >> shift
+        down = bits
         for shift, _, landed in reversed(stages):
-            t = x & landed
-            x = x ^ t | t >> shift
-        return x
+            t = down & landed
+            down = down ^ t | t << shift
+        down >>= self.n + 1
+        return side << 1 | flat >> 1 | up | down | down << 1
 
     def empty_set(self) -> "VertexSet":
         return VertexSet(self)
@@ -170,38 +178,30 @@ class TriGrid:
         return VertexSet(self, coords)
 
 
-def _padded_board(grid: TriGrid) -> tuple[tuple[tuple[int, int, int], ...], int]:
-    """The stages of TriGrid's expand network, top bit first, and the
-    vertices of the padded board.
+def _row_shift_stages(grid: TriGrid) -> tuple[tuple[int, int, int], ...]:
+    """The stages of TriGrid's up network, low bit first.
 
-    board holds every vertex where the stages so far have put it.  Before
-    stage b, rows with the same d_r >> (b + 1) lie next to each other in
-    one run, and empty bits separate the runs.  Within a run d_r grows,
-    so the rows with bit b set are the run's top rows, and a 1 added at
-    the first of them carries through exactly those rows.  So
-    board & ~(board + firsts) is the stage's mask, built in O(V) from one
-    point per run.
+    After the shift by n + 1 and the stages for the bits below b, row r
+    (its first n - r vertices) starts at its dense offset plus n + 1 - p,
+    p the low b bits of r.  The rows that stage b moves come in blocks
+    of 2^b consecutive rows, and within a block p grows by one per row
+    exactly as the row shortens by one, so each block is one run of
+    bits.  The mask is the sum of 2^end minus the sum of 2^start over
+    the runs, built in O(V).
     """
     n = grid.n
-    stride = n + 2
-    size = (n + 1) * stride
-    gaps = [r * stride - off for r, off in enumerate(grid._row_offset)]
-    below = [-1, *gaps[:-1]]
-    board = grid.full_mask
+    offs = grid._row_offset
+    size = grid.vertex_count + n + 1
     stages = []
-    for b in reversed(range(gaps[-1].bit_length())):
+    for b in range((n - 1).bit_length()):
         shift = 1 << b
-        low = (shift << 1) - 1
-        firsts = [
-            r * stride - (d & low)
-            for r, (d, e) in enumerate(zip(gaps, below))
-            if d & shift and d >> b != e >> b
-        ]
-        rows = board & ~(board + _sum_of_powers(firsts, size))
-        landed = rows << shift
-        board = board ^ rows | landed
-        stages.append((shift, rows, landed))
-    return tuple(stages), board
+        firsts = range(shift, n, 2 * shift)
+        lasts = [min(r + shift, n) - 1 for r in firsts]
+        starts = [offs[r] + n + 1 for r in firsts]
+        ends = [offs[r] + 2 * n + 1 - r - (r & (shift - 1)) for r in lasts]
+        rows = _sum_of_powers(ends, size) - _sum_of_powers(starts, size)
+        stages.append((shift, rows, rows >> shift))
+    return tuple(stages)
 
 
 def _sum_of_powers(positions: list[int], size: int) -> int:

@@ -93,8 +93,9 @@ def _legal_moves(grid: TriGrid, positions: Sequence[Coord], turn) -> list[tuple[
 
 def _turn(
     grid: TriGrid, positions: tuple[Coord, ...], ids: list[int], turn, cont: int
-) -> tuple[tuple[Coord, ...], int]:
-    """Validate and play one turn: the new positions and contamination bits.
+) -> tuple[tuple[Coord, ...], int, int]:
+    """Validate and play one turn: the new positions, occupancy bits and
+    contamination bits.
 
     Past validation the turn runs on dense ids: ids (one per lion, in step
     with positions) is updated in place and cont is a bitmask.
@@ -107,7 +108,8 @@ def _turn(
         dest_id = grid.index(dest)
         traversed.append((ids[idx], dest_id))
         ids[idx] = dest_id
-    return tuple(moved), _contaminate(grid, cont, traversed, _mask(ids))
+    occupied = _mask(ids)
+    return tuple(moved), occupied, _contaminate(grid, cont, traversed, occupied)
 
 
 def lion_step(
@@ -126,7 +128,7 @@ def lion_step(
         raise ValueError("one destination entry per lion required")
     positions = tuple(grid.check(v) for v in positions)
     ids = [grid.index(v) for v in positions]
-    new_positions, cont = _turn(grid, positions, ids, enumerate(dests), contaminated.bits)
+    new_positions, _, cont = _turn(grid, positions, ids, enumerate(dests), contaminated.bits)
     return new_positions, VertexSet.from_bits(grid, cont)
 
 
@@ -139,7 +141,8 @@ class LionTrace:
 
     turns[j] lists (lion_index, destination) for the lions that move on
     turn j; unlisted lions stay.  positions[0]/contaminated[0] are the
-    initial state (everything unoccupied starts contaminated).
+    initial state (everything unoccupied starts contaminated).  occupied[k]
+    is the bitmask of positions[k], kept from the replay.
     """
 
     grid: TriGrid
@@ -147,6 +150,7 @@ class LionTrace:
     turns: list[Turn]
     positions: list[tuple[Coord, ...]] = field(default_factory=list)
     contaminated: list[VertexSet] = field(default_factory=list)
+    occupied: list[int] = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -162,14 +166,16 @@ class LionTrace:
     ) -> "LionTrace":
         start = tuple(grid.check(v) for v in start)
         ids = [grid.index(v) for v in start]
-        cont = grid.full_mask & ~_mask(ids)
+        occupied = [_mask(ids)]
+        cont = grid.full_mask & ~occupied[0]
         positions = [start]
         contaminated = [VertexSet.from_bits(grid, cont)]
         for turn in turns:
-            pos, cont = _turn(grid, positions[-1], ids, turn, cont)
+            pos, occ, cont = _turn(grid, positions[-1], ids, turn, cont)
             positions.append(pos)
+            occupied.append(occ)
             contaminated.append(VertexSet.from_bits(grid, cont))
-        return cls(grid, start, turns, positions, contaminated)
+        return cls(grid, start, turns, positions, contaminated, occupied)
 
     def is_winning(self) -> bool:
         return not self.contaminated[-1]
@@ -227,9 +233,18 @@ def column_sweep_strategy(grid: TriGrid) -> LionTrace:
 
 
 def coupled_searches(trace: LionTrace) -> list[VertexSet]:
-    """Search schedule P(k-1) | P(k) (turn 0 searches the start positions)."""
+    """Search schedule P(k-1) | P(k) (turn 0 searches the start positions).
+
+    Reads the occupancy masks the replay kept; a trace whose occupied
+    list is not in step with its positions raises ValueError.
+    """
     grid = trace.grid
-    masks = [_mask(map(grid.index, pos)) for pos in trace.positions]
+    masks = trace.occupied
+    if len(masks) != len(trace.positions):
+        raise ValueError(
+            f"trace has {len(masks)} occupancy masks for {len(trace.positions)} states;"
+            " build it with LionTrace.from_moves"
+        )
     searches = [VertexSet.from_bits(grid, masks[0])]
     for prev, cur in zip(masks, masks[1:]):
         searches.append(VertexSet.from_bits(grid, prev | cur))
@@ -251,12 +266,12 @@ def claim_check(trace: LionTrace) -> bool:
     set stays inside the contaminated set.  Holds for any legal trace,
     winning or not."""
     grid = trace.grid
-    dirty = grid.full_set()
+    dirty = grid.full_mask
     for search, cont in zip(coupled_searches(trace), trace.contaminated):
-        post = dirty.bits & ~search.bits
+        post = dirty & ~search.bits
         if post & ~cont.bits:
             return False
-        dirty = VertexSet.from_bits(grid, post | grid.spread_bits(post))
+        dirty = post | grid.spread_bits(post)
     return True
 
 

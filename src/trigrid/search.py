@@ -10,7 +10,6 @@ and column sweeps mirroring stage one.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -254,6 +253,22 @@ def _reaches(starts, expand) -> bool:
     return False
 
 
+def _search_sets(nv: int, m: int) -> np.ndarray:
+    """Every m-subset of range(nv) as a uint64 bitmask, in no particular order.
+
+    Built by doubling: the masks below id j + 1 with c bits are those
+    below j with c bits, then those below j with c - 1 bits plus bit j.
+    """
+    import numpy as np
+
+    tables = [np.zeros(1, dtype=np.uint64)] + [np.zeros(0, dtype=np.uint64)] * m
+    for j in range(nv):
+        bit = np.uint64(1 << j)
+        for c in range(min(j + 1, m), 0, -1):
+            tables[c] = np.concatenate((tables[c], tables[c - 1] | bit))
+    return tables[m]
+
+
 def _clearable_with_budget(grid: TriGrid, m: int) -> bool:
     """Reachability of the empty dirty set under per-turn budget m.
 
@@ -280,14 +295,7 @@ def _clearable_with_budget(grid: TriGrid, m: int) -> bool:
     perm_tabs = [
         split([1 << p for p in perm]) for perm in automorphism_id_permutations(grid)[1:]
     ]
-    combos = np.fromiter(
-        (
-            sum(1 << i for i in c)
-            for c in itertools.combinations(range(nv), m)
-        ),
-        dtype=np.uint64,
-        count=math.comb(nv, m),
-    )
+    combos = _search_sets(nv, m)
 
     def expand(d):
         cand = combos[(combos & d) == combos]

@@ -241,7 +241,14 @@ def _spread_cases(g, rng):
     return [0, g.full_mask, *(1 << i for i in sorted(singles)), *sparse, *dense]
 
 
-@pytest.mark.parametrize("orders", [range(1, 36), range(36, 71), (200, 1000)])
+# The up/down network has one stage per bit of the largest moving row
+# index n - 1, so its depth changes between n = 2^k and 2^k + 1.
+STAGE_COUNT_CHANGES = [(2**k - 1, 2**k, 2**k + 1) for k in range(1, 11)]
+
+
+@pytest.mark.parametrize(
+    "orders", [range(1, 36), range(36, 71), (200, 1000), *STAGE_COUNT_CHANGES]
+)
 def test_spread_matches_row_oracle(orders):
     rng = random.Random(orders[0])
     for n in orders:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -18,6 +19,7 @@ from trigrid import (
     random_legal_walk,
     verify_trace,
 )
+from trigrid.lions import coupled_searches
 
 from helpers import adjacency_oracle, lion_turn_oracle, lions_clearable_oracle
 
@@ -236,6 +238,32 @@ def test_claim_on_sweeps_and_walks():
         g = TriGrid(n)
         tr = random_legal_walk(g, rng.randrange(1, n + 3), rng.randrange(0, 12), rng)
         assert claim_check(tr)
+
+
+def test_occupied_is_the_replayed_position_mask():
+    traces = [column_sweep_strategy(TriGrid(n)) for n in range(1, 11)]
+    rng = random.Random(33)
+    for _ in range(200):
+        g = TriGrid(rng.randrange(1, 6))
+        traces.append(random_legal_walk(g, rng.randrange(1, 6), rng.randrange(0, 12), rng))
+    stacked = 0
+    for tr in traces:
+        assert len(tr.occupied) == len(tr.positions)
+        for pos, occ in zip(tr.positions, tr.occupied):
+            assert occ == tr.grid.set_of(pos).bits
+            stacked += len(set(pos)) < len(pos)
+    assert stacked  # some states hold two lions on one vertex
+
+
+def test_coupling_refuses_a_trace_without_occupancy():
+    g = TriGrid(3)
+    tr = column_sweep_strategy(g)
+    bare = LionTrace(g, tr.start, tr.turns, tr.positions, tr.contaminated)
+    short = dataclasses.replace(tr, occupied=tr.occupied[:-1])
+    for trace in (bare, short):
+        for couple in (coupled_searches, couple_to_search, claim_check):
+            with pytest.raises(ValueError, match="occupancy masks"):
+                couple(trace)
 
 
 def test_claim_base_case_equality():

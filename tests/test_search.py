@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -189,6 +190,17 @@ def test_exact_solver_matches_oracle_t3_t4():
     for n, m in ((3, 3), (3, 4), (4, 4)):
         g = TriGrid(n)
         assert _clearable_with_budget(g, m) == search_clearable_oracle(g, m)
+
+
+def test_search_sets_equal_itertools_combinations():
+    from trigrid.search import _search_sets
+
+    sizes = [TriGrid(n).vertex_count for n in range(1, 5)]
+    cases = [(nv, m) for nv in sizes for m in range(nv + 1)] + [(TriGrid(5).vertex_count, 6)]
+    for nv, m in cases:
+        table = _search_sets(nv, m).tolist()
+        combos = {sum(1 << i for i in c) for c in itertools.combinations(range(nv), m)}
+        assert len(table) == len(combos) and set(table) == combos, (nv, m)
 
 
 def test_reaches_stops_at_a_win_or_when_states_run_out():
