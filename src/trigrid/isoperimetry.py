@@ -12,8 +12,13 @@ import json
 from dataclasses import dataclass
 
 from . import bulk
-from .core import TriGrid, VertexSet, neighborhood
-from .ordering import final_segment, initial_segment, packing_minimum
+from .core import TriGrid
+from .ordering import (
+    final_segment_boundary_size,
+    initial_segment_boundary_size,
+    packing_minimum,
+    triangular,
+)
 
 EXHAUSTIVE_DEFAULT_LIMIT = 5
 EXHAUSTIVE_HARD_LIMIT = 6
@@ -269,11 +274,15 @@ def diagonal_segment_check(grid: TriGrid) -> DiagonalSegmentReport:
     sets = bulk.union_table(1 << i for i in off_ids)
     spreads = bulk.union_table(grid.spread_bits(1 << i) for i in off_ids)
     spreads |= sets
-    cases = {"avoid": (0, initial_segment), "contain": (diag_bits, final_segment)}
+    cases = {
+        "avoid": (0, initial_segment_boundary_size),
+        "contain": (diag_bits, final_segment_boundary_size),
+    }
     least: dict[str, list[int | None]] = {}
     bad = {}
-    for case, (d, segment) in cases.items():
-        ref = [len(neighborhood(grid, segment(grid, k))) for k in range(nv + 1)]
+    for case, (d, segment_boundary_size) in cases.items():
+        # |N(segment(k))| = k + |boundary(segment(k))|
+        ref = [k + segment_boundary_size(grid, k) for k in range(nv + 1)]
         ref = np.array(ref, dtype=np.int16)
         k = np.bitwise_count(sets) + d.bit_count()
         slack = np.bitwise_count(spreads | np.uint64(d | grid.spread_bits(d))) - ref[k]
@@ -310,5 +319,5 @@ def lower_bound_certificate(grid: TriGrid, m: int) -> bool:
     n = grid.n
     if not 0 <= m <= n + 1:
         raise ValueError(f"certificate budget must be in [0, {n + 1}], got {m}")
-    i = sum(range(m + 1, n + 2))
+    i = triangular(n + 1) - triangular(m)
     return all(packing_minimum(grid, s) >= m for s in range(i + 1, i + m))

@@ -10,13 +10,14 @@ Segments are prefix masks of the simplicial order, built row by row from
 the closed-form rank-to-vertex map: the first k vertices fill a left-aligned
 run of each row, so the mask takes one shifted run per row it touches.  The
 final segment of size k is the complement of the first V - k vertices.
+Their boundary sizes, and so the packing minimum, are closed forms in k.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import Coord, TriGrid, VertexSet, _set_bits, boundary
+from .core import Coord, TriGrid, VertexSet, _set_bits
 
 
 def triangular(j: int) -> int:
@@ -94,56 +95,36 @@ def final_segment(grid: TriGrid, k: int) -> VertexSet:
 
 
 def initial_segment_boundary_size(grid: TriGrid, k: int) -> int:
-    """Closed-form |boundary(initial_segment(k))| = l + 2.
+    """Closed-form |boundary(initial_segment(k))| for every 0 <= k <= |V|.
 
-    Valid on the diagonal-free regime 1 <= k <= 1 + 2 + ... + n, where l is
-    fixed by triangular(l) < k <= triangular(l+1).  Other sizes must use
-    boundary() directly.
+    Once the segment reaches the diagonal level n, k > 1 + 2 + ... + n,
+    its boundary is the rest of the diagonal, |V| - k.  Before that it is
+    l + 2 with triangular(l) < k <= triangular(l + 1); l + 1, the least j
+    with triangular(j) >= k, is (isqrt(8k) + 1) // 2.
     """
-    n = grid.n
-    if not 1 <= k <= triangular(n):
-        raise ValueError(
-            f"size {k} outside the closed-form regime [1, {triangular(n)}] for T_{n}"
-        )
-    l = 0
-    while triangular(l + 1) < k:
-        l += 1
-    return l + 2
+    _check_size(grid, k)
+    if k == 0:
+        return 0
+    if k > triangular(grid.n):
+        return grid.vertex_count - k
+    return (math.isqrt(8 * k) + 1) // 2 + 1
 
 
 def final_segment_boundary_size(grid: TriGrid, k: int) -> int:
-    """Closed-form |boundary(final_segment(k))| = l.
+    """Closed-form |boundary(final_segment(k))| for every 0 <= k <= |V|.
 
-    Valid once the segment contains the full diagonal, k >= n + 1, with l
-    fixed by (l+1) + (l+2) + ... + (n+1) <= k < l + (l+1) + ... + (n+1).
-    The full set is the degenerate l = 0 case.
+    A segment inside the diagonal, k <= n, has boundary k + 1.  A larger
+    one has boundary l, the least l with triangular(l) >= |V| - k, which
+    is (isqrt(8(|V| - k)) + 1) // 2; the full set gives l = 0.
     """
-    n = grid.n
-    nv = grid.vertex_count
-    if not n + 1 <= k <= nv:
-        raise ValueError(
-            f"size {k} outside the closed-form regime [{n + 1}, {nv}] for T_{n}"
-        )
-    if k == nv:
+    _check_size(grid, k)
+    if k == 0:
         return 0
-
-    def tail(l: int) -> int:  # l + (l+1) + ... + (n+1)
-        return triangular(n + 1) - triangular(l - 1)
-
-    l = n
-    while not tail(l + 1) <= k < tail(l):
-        l -= 1
-    return l
+    if k <= grid.n:
+        return k + 1
+    return (math.isqrt(8 * (grid.vertex_count - k)) + 1) // 2
 
 
 def packing_minimum(grid: TriGrid, k: int) -> int:
-    """min of the two packing boundary sizes, by direct evaluation.
-
-    Uses boundary() rather than the closed forms so every 0 <= k <= |V|
-    is valid, including the diagonal-straddling sizes the formulas skip.
-    """
-    _check_size(grid, k)
-    return min(
-        len(boundary(grid, initial_segment(grid, k))),
-        len(boundary(grid, final_segment(grid, k))),
-    )
+    """min of the two packing boundary sizes, from their closed forms."""
+    return min(initial_segment_boundary_size(grid, k), final_segment_boundary_size(grid, k))

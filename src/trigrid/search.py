@@ -67,9 +67,6 @@ class SearchTrace:
             states.append(dirty)
         return states
 
-    def final_dirty(self) -> VertexSet:
-        return self.dirty_after[-1] if self.dirty_after else self.grid.full_set()
-
     def max_search_size(self) -> int:
         return max((len(s) for s in self.searches), default=0)
 

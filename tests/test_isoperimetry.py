@@ -209,15 +209,15 @@ def test_diagonal_segment_check_order_limit():
 
 
 def test_diagonal_check_matches_loop_over_counters(monkeypatch):
-    # Segments replaced by the full set make every set with a smaller
-    # neighborhood a violation.  The report must equal a plain loop over
+    # Segment boundaries replaced by nv - k give every reference
+    # neighborhood the size of the full set's, so every set with a smaller
+    # neighborhood is a violation.  The report must equal a plain loop over
     # the off-diagonal counter: per-k minima, and violations by ascending
     # counter with avoid before contain.
     g = TriGrid(3)
     nv = g.vertex_count
-    full = g.full_set()
-    monkeypatch.setattr(isoperimetry, "initial_segment", lambda grid, k: full)
-    monkeypatch.setattr(isoperimetry, "final_segment", lambda grid, k: full)
+    for name in ("initial_segment_boundary_size", "final_segment_boundary_size"):
+        monkeypatch.setattr(isoperimetry, name, lambda grid, k: nv - k)
     diag = {(v1, 3 - v1) for v1 in range(4)}
     off = [i for i in range(nv) if tuple(g.coord(i)) not in diag]
     least = {"avoid": [None] * (nv + 1), "contain": [None] * (nv + 1)}

@@ -10,6 +10,7 @@ from trigrid import (
     final_segment_boundary_size,
     initial_segment,
     initial_segment_boundary_size,
+    lower_bound_certificate,
     packing_minimum,
     rank_sum,
     rank_to_coord,
@@ -116,22 +117,32 @@ def test_small_segments_of_large_orders():
     assert final_segment(g, 3) == g.set_of([(2, n - 2), (1, n - 1), (0, n)])
 
 
-def test_initial_closed_form_matches_direct():
-    for n in range(1, 6):
+def test_closed_forms_match_direct_boundaries():
+    for n in (*range(1, 41), 60):
         g = TriGrid(n)
-        for k in range(1, triangular(n) + 1):
+        for k in range(g.vertex_count + 1):
             assert initial_segment_boundary_size(g, k) == len(
                 boundary(g, initial_segment(g, k))
             )
+            assert final_segment_boundary_size(g, k) == len(boundary(g, final_segment(g, k)))
 
 
-def test_final_closed_form_matches_direct():
-    for n in range(1, 6):
-        g = TriGrid(n)
-        for k in range(n + 1, g.vertex_count + 1):
-            assert final_segment_boundary_size(g, k) == len(
-                boundary(g, final_segment(g, k))
-            )
+def test_packing_minimum_of_large_orders():
+    # The closed forms build no set.  Built through both segment sets and
+    # boundary(), whose masks of T_1000 take about 63 kB each, the same
+    # calls peak near 600 kB.
+    g = TriGrid(1000)
+    nv = g.vertex_count
+    sizes = (0, 1, 999, 1000, 1001, 1002, triangular(1000), nv // 2, nv - 1001, nv - 1, nv)
+    tracemalloc.start()
+    try:
+        values = [packing_minimum(g, k) for k in sizes]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert values[0] == values[-1] == 0
+    assert max(m for m in range(202) if lower_bound_certificate(TriGrid(200), m)) == 142
 
 
 def test_closed_form_examples():
@@ -144,14 +155,15 @@ def test_closed_form_examples():
     assert final_segment_boundary_size(g4, g4.vertex_count) == 0
 
 
-def test_closed_form_regime_errors():
-    g = TriGrid(3)
-    for k in (0, triangular(3) + 1, 11):
-        with pytest.raises(ValueError):
-            initial_segment_boundary_size(g, k)
-    for k in (0, 3, 11):
-        with pytest.raises(ValueError):
-            final_segment_boundary_size(g, k)
+def test_closed_forms_refuse_only_sizes_outside_the_grid():
+    for n in (1, 3, 7):
+        g = TriGrid(n)
+        nv = g.vertex_count
+        for size_of in (initial_segment_boundary_size, final_segment_boundary_size):
+            for k in (-1, nv + 1):
+                with pytest.raises(ValueError):
+                    size_of(g, k)
+            assert size_of(g, 0) == size_of(g, nv) == 0
 
 
 def test_packing_minimum_examples():
@@ -159,7 +171,7 @@ def test_packing_minimum_examples():
     assert packing_minimum(g, 0) == 0
     assert packing_minimum(g, g.vertex_count) == 0
     assert packing_minimum(g, 3) == 2
-    # valid at diagonal-straddling sizes the closed forms refuse
+    # valid at diagonal-straddling sizes too
     g5 = TriGrid(5)
     for k in range(g5.vertex_count + 1):
         assert packing_minimum(g5, k) >= 0

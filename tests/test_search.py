@@ -141,6 +141,19 @@ def test_trace_json_round_trip_and_checksums():
         SearchTrace.from_json_obj({"n": 3, "budget": 5})
 
 
+def test_trace_json_detects_tampered_search_sets():
+    # Turn 11 gains (4, 0) and clears the last dirty vertex a turn early;
+    # turn 12 loses (3, 0), which stays dirty.  The kept checksums then no
+    # longer match the replay.
+    text = three_stage_strategy(TriGrid(4)).to_json()
+    edits = ((11, lambda s: s.append([4, 0])), (12, lambda s: s.remove([3, 0])))
+    for turn, edit in edits:
+        obj = json.loads(text)
+        edit(obj["searches"][turn])
+        with pytest.raises(TraceError, match=f"checksum mismatch at turn {turn}"):
+            SearchTrace.from_json_obj(obj)
+
+
 def _dumped(trace):
     return json.dumps(trace.to_json_obj(), sort_keys=True, indent=2) + "\n"
 
