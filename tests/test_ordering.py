@@ -117,14 +117,22 @@ def test_small_segments_of_large_orders():
     assert final_segment(g, 3) == g.set_of([(2, n - 2), (1, n - 1), (0, n)])
 
 
-def test_closed_forms_match_direct_boundaries():
+def test_initial_closed_form_matches_direct():
     for n in (*range(1, 41), 60):
         g = TriGrid(n)
         for k in range(g.vertex_count + 1):
             assert initial_segment_boundary_size(g, k) == len(
                 boundary(g, initial_segment(g, k))
             )
-            assert final_segment_boundary_size(g, k) == len(boundary(g, final_segment(g, k)))
+
+
+def test_final_closed_form_matches_direct():
+    for n in (*range(1, 41), 60):
+        g = TriGrid(n)
+        for k in range(g.vertex_count + 1):
+            assert final_segment_boundary_size(g, k) == len(
+                boundary(g, final_segment(g, k))
+            )
 
 
 def test_packing_minimum_of_large_orders():
