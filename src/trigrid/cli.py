@@ -13,13 +13,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from . import __version__
-from .core import TriGrid, VertexSet, boundary, render_ascii
+from .core import TriGrid, VertexSet, boundary, csv_text, render_ascii
 from .compress import compress_left, compress_right
-from .isoperimetry import exhaustive_min_boundary, sampled_check
+from .isoperimetry import EXHAUSTIVE_DEFAULT_LIMIT, exhaustive_min_boundary, sampled_check
 from .lions import (
     LionTrace,
     claim_check,
@@ -62,14 +62,8 @@ class Report:
     text: str | None = None  # csv/ascii rendering, where the command has one
 
     def to_json(self) -> str:
-        obj = {
-            "command": self.command,
-            "config": self.config,
-            "version": self.version,
-            "ok": self.ok,
-            "payload": self.payload,
-            "duration_s": self.duration_s,
-        }
+        # Shallow on purpose: asdict would deep-copy a payload holding a whole trace.
+        obj = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "text"}
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -80,11 +74,8 @@ def _simulated(trace, ok: bool, render: bool, marked, dirty, glyph: str):
     payload["cleared"] = ok
     if not render:
         return payload, ok, None
-    grid = trace.grid
     payload["frames"] = [
-        render_ascii(
-            grid, {v: glyph if v in m else "R" if v in d else "G" for v in grid.vertices()}
-        )
+        render_ascii(trace.grid, {**dict.fromkeys(d, "R"), **dict.fromkeys(m, glyph)}, "G")
         for m, d in zip(marked, dirty)
     ]
     return payload, ok, "\n".join(payload["frames"])
@@ -134,20 +125,16 @@ def _search_exact(p: dict, config: RunConfig):
 
 
 def _search_bounds(p: dict, config: RunConfig):
-    rows = inspection_bounds_report(p["n_max"], exact_up_to=p["exact_up_to"])
-    ok = all(r.upper_verified and r.lower < r.upper for r in rows)
-    lines = ["n,lower,upper,upper_verified,exact"]
-    for r in rows:
-        exact = "" if r.exact is None else r.exact
-        lines.append(f"{r.n},{r.lower},{r.upper},{str(r.upper_verified).lower()},{exact}")
-    return {"rows": [r.to_json_obj() for r in rows]}, ok, "\n".join(lines) + "\n"
+    report = inspection_bounds_report(p["n_max"], exact_up_to=p["exact_up_to"])
+    rows = [r.to_json_obj() for r in report]
+    ok = all(r["upper_verified"] and r["lower"] < r["upper"] for r in rows)
+    return {"rows": rows}, ok, csv_text(rows)
 
 
 def _lions_simulate(p: dict, config: RunConfig):
     trace = column_sweep_strategy(TriGrid(p["n"]))
-    occupied = map(set, trace.positions)
     return _simulated(
-        trace, trace.is_winning(), p["render"], occupied, trace.contaminated, "L"
+        trace, trace.is_winning(), p["render"], trace.positions, trace.contaminated, "L"
     )
 
 
@@ -155,11 +142,7 @@ def _lions_couple(p: dict, config: RunConfig):
     trace = LionTrace.from_json_obj(_load_json(p["trace"]))
     search_trace = couple_to_search(trace)
     claim_holds = claim_check(trace)
-    ok = (
-        claim_holds
-        and verify_trace(trace.grid, search_trace)
-        and search_trace.max_search_size() <= search_trace.budget
-    )
+    ok = claim_holds and verify_trace(trace.grid, search_trace)
     return {**search_trace.to_json_obj(), "claim_holds": claim_holds}, ok, None
 
 
@@ -244,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode = sp.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--samples", type=int)
-    sp.add_argument("--limit", type=int, default=5, help="exhaustive order cap")
+    sp.add_argument(
+        "--limit", type=int, default=EXHAUSTIVE_DEFAULT_LIMIT, help="exhaustive order cap"
+    )
     _add_common(sp)
 
     sp = top.add_parser("packing", help="emit a segment packing and its boundary size")
@@ -308,7 +293,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if command == "verify-isoperimetry" and params["samples"] is None:
         # Neither mode flag given: exhaustive where it is cheap, else sampled.
         params["samples"] = 10000
-        params["exhaustive"] = params["exhaustive"] or params["n"] <= 5
+        params["exhaustive"] = params["exhaustive"] or params["n"] <= EXHAUSTIVE_DEFAULT_LIMIT
     return RunConfig(
         command=command,
         params=params,

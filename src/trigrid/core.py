@@ -8,6 +8,7 @@ anti-diagonal v1 + v2 = n.  Edges join vertices differing by (+-1, 0),
 
 from __future__ import annotations
 
+import json
 import operator
 from bisect import bisect_right
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -335,6 +336,15 @@ class VertexSet:
 
     def complement(self) -> "VertexSet":
         return VertexSet.from_bits(self.grid, self.grid.full_mask & ~self.bits)
+
+
+def csv_text(rows: list[dict]) -> str:
+    """CSV of dict rows: a header of the first row's keys, then one line per
+    row.  None is an empty cell; any other value is its JSON text, so bools
+    read true/false."""
+    lines = [",".join(rows[0])]
+    lines += [",".join("" if v is None else json.dumps(v) for v in r.values()) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def json_int(x, what: str) -> int:

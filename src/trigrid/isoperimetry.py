@@ -9,10 +9,10 @@ lower bounds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import bulk
-from .core import TriGrid
+from .core import TriGrid, csv_text
 from .ordering import (
     final_segment_boundary_size,
     initial_segment_boundary_size,
@@ -47,21 +47,16 @@ class MinBoundaryTable:
         return all(self.verified)
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "min_boundary": self.min_boundary,
-            "packing_min": self.packing_min,
-            "witness_hex": self.witness_hex,
-            "verified": self.verified,
-        }
+        return asdict(self)
 
     def to_csv(self) -> str:
-        lines = ["k,min_boundary,packing_min,verified"]
-        for k, (mb, pm, ok) in enumerate(
-            zip(self.min_boundary, self.packing_min, self.verified)
-        ):
-            lines.append(f"{k},{mb},{pm},{str(ok).lower()}")
-        return "\n".join(lines) + "\n"
+        rows = zip(self.min_boundary, self.packing_min, self.verified)
+        return csv_text(
+            [
+                {"k": k, "min_boundary": mb, "packing_min": pm, "verified": ok}
+                for k, (mb, pm, ok) in enumerate(rows)
+            ]
+        )
 
 
 def _scan_range(n: int, start: int, stop: int) -> tuple[list[int], list[int]]:
@@ -161,15 +156,7 @@ class SampledReport:
         return not self.violations
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "samples": self.samples,
-            "seed": self.seed,
-            "checked": self.checked,
-            "violations": self.violations,
-            "min_slack": self.min_slack,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
@@ -244,13 +231,7 @@ class DiagonalSegmentReport:
         return not self.violations
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "min_slack_avoid": self.min_slack_avoid,
-            "min_slack_contain": self.min_slack_contain,
-            "violations": self.violations,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def diagonal_segment_check(grid: TriGrid) -> DiagonalSegmentReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import bulk
 from .core import TriGrid, VertexSet, _ids, automorphism_id_permutations, json_int
@@ -105,11 +105,17 @@ class SearchTrace:
         try:
             grid = TriGrid(json_int(obj["n"], "n"))
             budget = json_int(obj["budget"], "budget")
+            if budget < 0:
+                raise ValueError(f"budget must be non-negative, got {budget}")
             searches = [VertexSet.from_pairs(grid, pairs) for pairs in obj["searches"]]
+            stored = obj.get("dirty_checksums")
+            if "dirty_checksums" in obj and not (
+                isinstance(stored, list) and all(type(c) is str for c in stored)
+            ):
+                raise ValueError(f"dirty_checksums must be a list of strings, got {stored!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceError(f"malformed search trace: {exc}") from exc
         trace = cls.from_searches(grid, budget, searches)
-        stored = obj.get("dirty_checksums")
         if stored is not None:
             replayed = [d.to_hex() for d in trace.dirty_after]
             for turn, (a, b) in enumerate(zip(stored, replayed)):
@@ -332,13 +338,7 @@ class BoundsRow:
     exact: int | None
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "lower": self.lower,
-            "upper": self.upper,
-            "upper_verified": self.upper_verified,
-            "exact": self.exact,
-        }
+        return asdict(self)
 
 
 def inspection_bounds_report(n_max: int, exact_up_to: int = 1) -> list[BoundsRow]:
@@ -357,7 +357,6 @@ def inspection_bounds_report(n_max: int, exact_up_to: int = 1) -> list[BoundsRow
             m for m in range(0, n + 2) if lower_bound_certificate(grid, m)
         )
         trace = three_stage_strategy(grid)
-        upper_ok = verify_trace(grid, trace) and trace.max_search_size() <= trace.budget
         exact = (
             exact_inspection_number(grid, trace.budget) if n <= exact_up_to else None
         )
@@ -366,7 +365,7 @@ def inspection_bounds_report(n_max: int, exact_up_to: int = 1) -> list[BoundsRow
                 n=n,
                 lower=lower,
                 upper=trace.budget,
-                upper_verified=upper_ok,
+                upper_verified=verify_trace(grid, trace),
                 exact=exact,
             )
         )

@@ -17,6 +17,7 @@ from trigrid.cli import (
     dispatch,
     main,
 )
+from trigrid import TriGrid, column_sweep_strategy, three_stage_strategy
 
 
 def run(capsys, *argv):
@@ -103,6 +104,32 @@ def test_search_simulate_render(capsys):
     assert len(payload["frames"]) == len(payload["searches"])
 
 
+def _frame_oracle(grid, marked, dirty, glyph):
+    """A frame labelled vertex by vertex: glyph, else R if dirty, else G;
+    row n on the first line."""
+    labels = {
+        v: glyph if v in marked else "R" if v in dirty else "G" for v in grid.vertices()
+    }
+    rows = range(grid.n, -1, -1)
+    return "".join(" ".join(labels[(c, r)] for c in range(grid.n - r + 1)) + "\n" for r in rows)
+
+
+@pytest.mark.parametrize("command, orders", [("search", range(2, 9)), ("lions", range(1, 6))])
+def test_simulate_frames_match_labelling_oracle(capsys, command, orders):
+    for n in orders:
+        code, out, _ = run(capsys, command, "simulate", "--n", str(n), "--render")
+        assert code == EXIT_OK
+        grid = TriGrid(n)
+        if command == "search":
+            trace = three_stage_strategy(grid)
+            turns, glyph = zip(trace.searches, trace.dirty_after), "Y"
+        else:
+            trace = column_sweep_strategy(grid)
+            turns, glyph = zip(trace.positions, trace.contaminated), "L"
+        expected = [_frame_oracle(grid, m, d, glyph) for m, d in turns]
+        assert json.loads(out)["payload"]["frames"] == expected, n
+
+
 def test_search_exact_unknown(capsys):
     code, out, _ = run(capsys, "search", "exact", "--n", "2", "--max-m", "1")
     assert code == EXIT_OK
@@ -114,9 +141,13 @@ def test_search_bounds_csv(capsys):
         capsys, "search", "bounds", "--n-max", "4", "--format", "csv"
     )
     assert code == EXIT_OK
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,lower,upper,upper_verified,exact"
-    assert len(lines) == 5
+    assert out == (
+        "n,lower,upper,upper_verified,exact\n"
+        "1,2,3,true,3\n"
+        "2,2,4,true,\n"
+        "3,3,5,true,\n"
+        "4,4,5,true,\n"
+    )
 
 
 def test_lions_pipeline_through_files(tmp_path, capsys):

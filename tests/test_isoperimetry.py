@@ -153,6 +153,8 @@ def test_sampled_check_deterministic():
     b = sampled_check(g, 500, seed=13)
     assert a.to_json() == b.to_json()
     assert json.loads(a.to_json())["ok"] is True
+    keys = {"n", "samples", "seed", "checked", "violations", "min_slack", "ok"}
+    assert set(a.to_json_obj()) == keys
 
 
 def test_sampled_check_zero_samples():
@@ -178,6 +180,8 @@ def test_diagonal_segment_check_small_orders():
         g = TriGrid(n)
         rep = diagonal_segment_check(g)
         assert rep.ok
+        keys = {"n", "min_slack_avoid", "min_slack_contain", "violations", "ok"}
+        assert set(rep.to_json_obj()) == keys
         nv = g.vertex_count
         off_diag = nv - (n + 1)
         # slack defined exactly where admissible sets exist

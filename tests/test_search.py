@@ -180,7 +180,16 @@ def test_trace_writer_matches_json_dumps_on_coupled_and_edge_cases():
 
 def test_trace_json_refuses_coercion():
     obj = json.loads(three_stage_strategy(TriGrid(2)).to_json())
-    for key, value in (("n", 2.9), ("n", True), ("budget", 4.0)):
+    cases = (
+        ("n", 2.9),
+        ("n", True),
+        ("budget", 4.0),
+        ("budget", -1),
+        ("dirty_checksums", 5),
+        ("dirty_checksums", [0]),
+        ("dirty_checksums", None),
+    )
+    for key, value in cases:
         with pytest.raises(TraceError):
             SearchTrace.from_json_obj({**obj, key: value})
     bad_search = [[0.0, 1]] + obj["searches"][0][1:]
@@ -280,6 +289,7 @@ def test_certified_lower_column_up_to_50():
 def test_bounds_report_rows():
     rows = inspection_bounds_report(6, exact_up_to=1)
     assert [r.n for r in rows] == [1, 2, 3, 4, 5, 6]
+    assert set(rows[0].to_json_obj()) == {"n", "lower", "upper", "upper_verified", "exact"}
     for r in rows:
         assert r.lower < r.upper
         assert r.upper_verified
