@@ -16,7 +16,7 @@ for v in [(0, 0), (2, 0), (1, 1)]:
 
 a = g.set_of([(1, 1), (2, 1), (1, 2)])
 print("\nA marked on the grid ('#'):")
-print(render_ascii(g, {v: "#" for v in a}))
+print(render_ascii(g, [(a, "#")]))
 
 b = boundary(g, a)
 print(f"boundary  (outside, adjacent): {[tuple(v) for v in b]}")

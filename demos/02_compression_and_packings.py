@@ -25,10 +25,8 @@ print([tuple(v) for v in simplicial_order(g)])
 # final segments are the complementary row packings.
 for k in (2, 4, 7):
     print(f"\nk = {k}")
-    print("initial segment:", render_ascii(g, {v: "#" for v in initial_segment(g, k)}),
-          sep="\n")
-    print("final segment:", render_ascii(g, {v: "#" for v in final_segment(g, k)}),
-          sep="\n")
+    print("initial segment:", render_ascii(g, [(initial_segment(g, k), "#")]), sep="\n")
+    print("final segment:", render_ascii(g, [(final_segment(g, k), "#")]), sep="\n")
 
 # Closed-form boundary sizes at every size, checked against direct
 # evaluation.
@@ -44,7 +42,7 @@ down = compress_left(g, a, 1)
 left = compress_left(g, a, 2)
 print("\nA, pushed down columns, pushed left along rows:")
 for s in (a, down, left):
-    print(render_ascii(g, {v: "#" for v in s}))
+    print(render_ascii(g, [(s, "#")]))
     print("|N| =", len(neighborhood(g, s)))
 up = compress_right(g, a, 1)
 right = compress_right(g, a, 2)

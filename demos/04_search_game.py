@@ -24,12 +24,8 @@ print(f"T_{n}: budget k = {trace.budget}, {len(trace.searches)} turns, "
 
 print("\nselected frames (Y searched, G cannot hold the intruder, R dirty):")
 for t in (0, 9, 10, len(trace.searches) - 1):
-    s, dirty = trace.searches[t], trace.dirty_after[t]
-    labels = {}
-    for v in g.vertices():
-        labels[v] = "Y" if v in s else ("R" if v in dirty else "G")
     print(f"turn {t}:")
-    print(render_ascii(g, labels))
+    print(render_ascii(g, [(trace.dirty_after[t], "R"), (trace.searches[t], "Y")], "G"))
 
 # Tiny instances can be solved exactly by reachability over dirty states.
 for m in (1, 2, 3, 4):

@@ -22,12 +22,8 @@ g = TriGrid(2)
 trace = column_sweep_strategy(g)
 print(f"T_2 column sweep with {trace.lions} lions, {len(trace.turns)} turns:")
 for k, (pos, cont) in enumerate(zip(trace.positions, trace.contaminated)):
-    labels = {}
-    occupied = set(pos)
-    for v in g.vertices():
-        labels[v] = "L" if v in occupied else ("R" if v in cont else "G")
     print(f"after turn {k}:")
-    print(render_ascii(g, labels))
+    print(render_ascii(g, [(cont, "R"), (g.set_of(pos), "L")], "G"))
 print("cleared:", trace.is_winning())
 
 # Searching P(k-1) | P(k) each turn turns any winning lion schedule into

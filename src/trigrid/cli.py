@@ -69,14 +69,14 @@ class Report:
 
 def _simulated(trace, ok: bool, render: bool, marked, dirty, glyph: str):
     """Run result for a simulated trace.  With render, one ASCII frame per
-    turn: glyph on marked vertices, R on dirty ones, G elsewhere."""
+    turn from the marked and dirty sets: glyph on marked vertices, R on
+    dirty ones, G elsewhere."""
     payload = trace.to_json_obj()
     payload["cleared"] = ok
     if not render:
         return payload, ok, None
     payload["frames"] = [
-        render_ascii(trace.grid, {**dict.fromkeys(d, "R"), **dict.fromkeys(m, glyph)}, "G")
-        for m, d in zip(marked, dirty)
+        render_ascii(trace.grid, [(d, "R"), (m, glyph)], "G") for m, d in zip(marked, dirty)
     ]
     return payload, ok, "\n".join(payload["frames"])
 
@@ -132,10 +132,10 @@ def _search_bounds(p: dict, config: RunConfig):
 
 
 def _lions_simulate(p: dict, config: RunConfig):
-    trace = column_sweep_strategy(TriGrid(p["n"]))
-    return _simulated(
-        trace, trace.is_winning(), p["render"], trace.positions, trace.contaminated, "L"
-    )
+    grid = TriGrid(p["n"])
+    trace = column_sweep_strategy(grid)
+    occupied = (VertexSet.from_bits(grid, m) for m in trace.occupied)
+    return _simulated(trace, trace.is_winning(), p["render"], occupied, trace.contaminated, "L")
 
 
 def _lions_couple(p: dict, config: RunConfig):
@@ -153,10 +153,8 @@ def _lions_exact(p: dict, config: RunConfig):
 
 def _render(p: dict, config: RunConfig):
     grid = TriGrid(p["n"])
-    labels = {}
-    if p["set"]:
-        labels = {v: "#" for v in VertexSet.from_pairs(grid, _load_json(p["set"]))}
-    text = render_ascii(grid, labels, row_n_top=not p["bottom_up"])
+    layers = [(VertexSet.from_pairs(grid, _load_json(p["set"])), "#")] if p["set"] else []
+    text = render_ascii(grid, layers, row_n_top=not p["bottom_up"])
     return {"n": grid.n, "ascii": text}, True, text
 
 

@@ -11,10 +11,24 @@ from __future__ import annotations
 import json
 import operator
 from bisect import bisect_right
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 # Canonical neighbor order: clockwise, starting from (v1+1, v2).
 NEIGHBOR_OFFSETS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
+
+
+def as_int(x, what: str) -> int:
+    """The one integer rule for grid orders, coordinates, dense ids, lion
+    indices and trace fields: Python and numpy integers pass as int;
+    bools, floats, strings and anything else raise ValueError."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
 class Coord(NamedTuple):
@@ -54,6 +68,7 @@ class TriGrid:
     )
 
     def __init__(self, n: int):
+        n = as_int(n, "grid order")
         if n < 1:
             raise ValueError(f"grid order must be at least 1, got {n}")
         self.n = n
@@ -84,23 +99,25 @@ class TriGrid:
         """True when v is a pair of integers naming a vertex, else False."""
         try:
             self._vertex(v)
-        except (TypeError, ValueError):
+        except ValueError:
             return False
         return True
 
     def _vertex(self, v) -> tuple[int, int]:
-        """A vertex as a pair of ints; non-integers and non-vertices raise.
-
-        Coordinates are read with operator.index: Python and numpy integers
-        pass, floats and strings raise ValueError instead of truncating.
-        """
-        v1, v2 = v
+        """The one pair decoder, for API and JSON input alike: a vertex as a
+        pair of ints.  A non-pair, a coordinate that as_int refuses and a
+        pair off the grid raise ValueError."""
         try:
-            v1, v2 = operator.index(v1), operator.index(v2)
-        except TypeError:
-            raise ValueError(f"{tuple(v)} is not a pair of integers") from None
+            v1, v2 = v
+        except (TypeError, ValueError):
+            raise ValueError(f"expected a [v1, v2] pair, got {v!r}") from None
+        # as_int's own fast path, inlined: this runs once per coordinate.
+        if type(v1) is not int:
+            v1 = as_int(v1, "v1")
+        if type(v2) is not int:
+            v2 = as_int(v2, "v2")
         if v1 < 0 or v2 < 0 or v1 + v2 > self.n:
-            raise ValueError(f"{tuple(v)} is not a vertex of T_{self.n}")
+            raise ValueError(f"{(v1, v2)} is not a vertex of T_{self.n}")
         return v1, v2
 
     def check(self, v) -> Coord:
@@ -113,11 +130,8 @@ class TriGrid:
         return self._row_offset[v2] + v1
 
     def coord(self, i: int) -> Coord:
-        """Vertex of a dense id; the id is read with operator.index."""
-        try:
-            i = operator.index(i)
-        except TypeError:
-            raise ValueError(f"dense id {i!r} is not an integer") from None
+        """Vertex of a dense id, read with as_int."""
+        i = as_int(i, "dense id")
         if not 0 <= i < self.vertex_count:
             raise ValueError(f"dense id {i} out of range for T_{self.n}")
         r = bisect_right(self._row_offset, i) - 1
@@ -250,21 +264,23 @@ class VertexSet:
 
     @classmethod
     def from_pairs(cls, grid: TriGrid, pairs) -> "VertexSet":
-        """Inverse of to_pairs, decoding as strictly as coords_from_json.
+        """Inverse of to_pairs: a list or tuple of [v1, v2] pairs.
 
-        A [v1, v2] list of two in-grid ints takes the direct path; any
-        other entry goes through _json_pair and index, which accept
-        tuples and word the errors.
+        A [v1, v2] list of two in-grid ints takes the direct path; every
+        other entry goes through grid.index, which decodes tuples and
+        refuses the rest with ValueError.
         """
+        if not isinstance(pairs, (list, tuple)):
+            raise ValueError(f"expected a list of [v1, v2] pairs, got {pairs!r}")
         n, offset = grid.n, grid._row_offset
         bits = 0
-        for p in _json_list(pairs):
+        for p in pairs:
             if type(p) is list and len(p) == 2:
                 v1, v2 = p
                 if type(v1) is type(v2) is int and v1 >= 0 and v2 >= 0 and v1 + v2 <= n:
                     bits |= 1 << (offset[v2] + v1)
                     continue
-            bits |= 1 << grid.index(_json_pair(p))
+            bits |= 1 << grid.index(p)
         return cls.from_bits(grid, bits)
 
     def __contains__(self, v) -> bool:
@@ -347,35 +363,6 @@ def csv_text(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def json_int(x, what: str) -> int:
-    """A JSON integer as-is; floats, bools and strings raise ValueError."""
-    if type(x) is not int:
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return x
-
-
-def _json_list(pairs) -> list:
-    if not isinstance(pairs, (list, tuple)):
-        raise ValueError(f"expected a list of [v1, v2] pairs, got {pairs!r}")
-    return pairs
-
-
-def _json_pair(p) -> tuple[int, int]:
-    if not isinstance(p, (list, tuple)) or len(p) != 2:
-        raise ValueError(f"expected a [v1, v2] pair, got {p!r}")
-    return json_int(p[0], "v1"), json_int(p[1], "v2")
-
-
-def coords_from_json(pairs) -> list[Coord]:
-    """Decode a JSON list of [v1, v2] pairs without coercion.
-
-    Every entry must be a two-element list of integers; anything else
-    (1.5, true, a triple, a bare number) raises ValueError.  Grid
-    membership is left to the caller's TriGrid.
-    """
-    return [Coord._make(_json_pair(p)) for p in _json_list(pairs)]
-
-
 def automorphism_id_permutations(grid: TriGrid) -> list[tuple[int, ...]]:
     """The 6 triangle symmetries as permutations of dense ids.
 
@@ -430,20 +417,30 @@ def interior_boundary(grid: TriGrid, c: VertexSet) -> VertexSet:
 
 def render_ascii(
     grid: TriGrid,
-    labels: Mapping = (),
+    layers: Iterable[tuple[VertexSet, str]] = (),
     default: str = ".",
     row_n_top: bool = True,
 ) -> str:
-    """Character rendering, one grid row per line, columns space-separated."""
-    glyphs = {}
-    for v, g in dict(labels).items():
-        g = str(g)
-        if len(g) != 1:
-            raise ValueError(f"glyph for {tuple(v)} must be a single character")
-        glyphs[grid.index(v)] = g
+    """Character rendering, one grid row per line, columns space-separated.
+
+    Each layer is a (VertexSet, glyph) pair; where layers overlap the later
+    one wins, and default fills the vertices in no layer.
+    """
+    marks = []
+    for vset, glyph in layers:
+        if type(glyph) is not str or len(glyph) != 1:
+            raise ValueError(f"glyph {glyph!r} must be a single character")
+        marks.append((_set_bits(grid, vset), glyph))
     rows = range(grid.n, -1, -1) if row_n_top else range(grid.n + 1)
     lines = []
     for r in rows:
-        ids = (grid._row_offset[r] + c for c in range(grid.n - r + 1))
-        lines.append(" ".join(glyphs.get(i, default) for i in ids))
+        offset, mask = grid._row_offset[r], grid._row_mask[r]
+        cells = [default] * (grid.n - r + 1)
+        for bits, glyph in marks:
+            word = bits >> offset & mask
+            while word:
+                low = word & -word
+                cells[low.bit_length() - 1] = glyph
+                word ^= low
+        lines.append(" ".join(cells))
     return "\n".join(lines) + "\n"

@@ -8,7 +8,6 @@ lower bounds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 from . import bulk
@@ -157,9 +156,6 @@ class SampledReport:
 
     def to_json_obj(self) -> dict:
         return {**asdict(self), "ok": self.ok}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
 
 
 def sampled_check(grid: TriGrid, samples: int, seed: int) -> SampledReport:

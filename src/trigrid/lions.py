@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -22,13 +21,17 @@ from .core import (
     TriGrid,
     VertexSet,
     _ids,
-    coords_from_json,
-    json_int,
+    as_int,
 )
 from .search import SearchTrace, TraceError, _reaches
 
 EXACT_ORDER_LIMIT = 2
 _STEPS = frozenset(NEIGHBOR_OFFSETS)
+
+
+def _id(grid: TriGrid, v: Coord) -> int:
+    """Dense id of a vertex that grid.check has already decoded."""
+    return grid._row_offset[v.v2] + v.v1
 
 
 def _mask(ids) -> int:
@@ -63,17 +66,15 @@ def _contaminate(grid: TriGrid, cont: int, moves, occupied: int) -> int:
 def _legal_moves(grid: TriGrid, positions: Sequence[Coord], turn) -> list[tuple[int, Coord]]:
     """The (lion, destination) pairs of a turn that change a lion's vertex.
 
-    positions are the lions' checked vertices.  A lion index out of range
-    or named twice, a destination off the grid and a move along a non-edge
-    raise ValueError; a destination of None or the lion's own vertex stays.
+    positions are the lions' checked vertices.  A lion index that as_int
+    refuses, is out of range or is named twice, a destination off the
+    grid and a move along a non-edge raise ValueError; a destination of
+    None or the lion's own vertex stays.
     """
     named = set()
     moves = []
     for idx, dest in turn:
-        try:
-            idx = operator.index(idx)
-        except TypeError:
-            raise ValueError(f"lion index {idx!r} is not an integer") from None
+        idx = as_int(idx, "lion index")
         if not 0 <= idx < len(positions):
             raise ValueError(f"lion index {idx} out of range")
         if idx in named:
@@ -105,7 +106,7 @@ def _turn(
     traversed = []
     for idx, dest in moves:
         moved[idx] = dest
-        dest_id = grid.index(dest)
+        dest_id = _id(grid, dest)
         traversed.append((ids[idx], dest_id))
         ids[idx] = dest_id
     occupied = _mask(ids)
@@ -127,7 +128,7 @@ def lion_step(
     if len(dests) != len(positions):
         raise ValueError("one destination entry per lion required")
     positions = tuple(grid.check(v) for v in positions)
-    ids = [grid.index(v) for v in positions]
+    ids = [_id(grid, v) for v in positions]
     new_positions, _, cont = _turn(grid, positions, ids, enumerate(dests), contaminated.bits)
     return new_positions, VertexSet.from_bits(grid, cont)
 
@@ -140,7 +141,7 @@ class LionTrace:
     """A lion schedule plus the states its replay produces.
 
     turns[j] lists (lion_index, destination) for the lions that move on
-    turn j; unlisted lions stay.  positions[0]/contaminated[0] are the
+    turn j, as given to from_moves; unlisted lions stay.  positions[0]/contaminated[0] are the
     initial state (everything unoccupied starts contaminated).  occupied[k]
     is the bitmask of positions[k], kept from the replay.
     """
@@ -165,7 +166,7 @@ class LionTrace:
         cls, grid: TriGrid, start: Sequence[Coord], turns: list[Turn]
     ) -> "LionTrace":
         start = tuple(grid.check(v) for v in start)
-        ids = [grid.index(v) for v in start]
+        ids = [_id(grid, v) for v in start]
         occupied = [_mask(ids)]
         cont = grid.full_mask & ~occupied[0]
         positions = [start]
@@ -197,21 +198,11 @@ class LionTrace:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LionTrace":
         try:
-            grid = TriGrid(json_int(obj["n"], "n"))
-            start = coords_from_json(obj["start"])
-            if "lions" in obj and json_int(obj["lions"], "lions") != len(start):
+            grid = TriGrid(obj["n"])
+            start = obj["start"]
+            if "lions" in obj and as_int(obj["lions"], "lions") != len(start):
                 raise ValueError("lion count does not match start positions")
-            turns: list[Turn] = [
-                [
-                    (
-                        json_int(idx, "lion index"),
-                        None if dest is None else coords_from_json([dest])[0],
-                    )
-                    for idx, dest in raw_turn
-                ]
-                for raw_turn in obj["moves"]
-            ]
-            return cls.from_moves(grid, start, turns)
+            return cls.from_moves(grid, start, obj["moves"])
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceError(f"malformed lion trace: {exc}") from exc
 

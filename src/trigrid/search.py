@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from . import bulk
-from .core import TriGrid, VertexSet, _ids, automorphism_id_permutations, json_int
+from .core import TriGrid, VertexSet, _ids, as_int, automorphism_id_permutations
 from .isoperimetry import lower_bound_certificate
 
 EXACT_ORDER_LIMIT = 4
@@ -103,8 +103,8 @@ class SearchTrace:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SearchTrace":
         try:
-            grid = TriGrid(json_int(obj["n"], "n"))
-            budget = json_int(obj["budget"], "budget")
+            grid = TriGrid(obj["n"])
+            budget = as_int(obj["budget"], "budget")
             if budget < 0:
                 raise ValueError(f"budget must be non-negative, got {budget}")
             searches = [VertexSet.from_pairs(grid, pairs) for pairs in obj["searches"]]

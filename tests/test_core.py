@@ -31,6 +31,17 @@ def test_rejects_order_zero():
         TriGrid(0)
 
 
+@pytest.mark.parametrize("bad", [True, 2.5, "3"])
+def test_grid_order_refuses_non_integers(bad):
+    with pytest.raises(ValueError, match=f"^grid order must be an integer, got {bad!r}$"):
+        TriGrid(bad)
+
+
+def test_grid_order_reads_numpy_integers_as_ints():
+    g = TriGrid(np.int64(3))
+    assert g == TriGrid(3) and type(g.n) is int
+
+
 def test_vertex_count_and_index_bijection():
     for n in (*range(1, 9), 13, 60):
         g = TriGrid(n)
@@ -53,24 +64,25 @@ def test_invalid_coordinates_raise():
             g.neighbors(bad)
 
 
-NON_INTEGRAL = [(2.9, 0), (1.5, 0), (0, 1.0), ("1", 0), (0.9, 0.2)]
+NON_INTEGRAL = [(2.9, 0), (1.5, 0), (0, 1.0), ("1", 0), (0.9, 0.2), (True, 0), (0, False)]
+NON_INTEGRAL_MESSAGE = r"^v[12] must be an integer, got "
 
 
 @pytest.mark.parametrize("bad", NON_INTEGRAL)
 def test_check_refuses_non_integral_coordinates(bad):
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match=NON_INTEGRAL_MESSAGE):
         TriGrid(3).check(bad)
 
 
 @pytest.mark.parametrize("bad", NON_INTEGRAL)
 def test_index_refuses_non_integral_coordinates(bad):
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match=NON_INTEGRAL_MESSAGE):
         TriGrid(3).index(bad)
 
 
 @pytest.mark.parametrize("bad", NON_INTEGRAL)
 def test_vertex_set_refuses_non_integral_coordinates(bad):
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match=NON_INTEGRAL_MESSAGE):
         VertexSet(TriGrid(3), [(0, 0), bad])
 
 
@@ -82,9 +94,9 @@ def test_numpy_integer_coordinates_accepted():
     assert VertexSet(g, [v]) == g.set_of([(2, 1)])
 
 
-@pytest.mark.parametrize("bad", [2.5, 2.0, "2", None])
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", None, True])
 def test_coord_refuses_non_integral_ids(bad):
-    with pytest.raises(ValueError, match="not an integer"):
+    with pytest.raises(ValueError, match=f"^dense id must be an integer, got {bad!r}$"):
         TriGrid(3).coord(bad)
 
 
@@ -370,12 +382,18 @@ def test_render_ascii_layout():
     assert text == ".\n. .\n"
     assert render_ascii(g) == text  # byte-identical on repeat
     g2 = TriGrid(2)
-    marked = render_ascii(g2, {(1, 0): "#"})
+    one = g2.set_of([(1, 0)])
+    marked = render_ascii(g2, [(one, "#")])
     assert marked.splitlines()[2] == ". # ."
-    flipped = render_ascii(g2, {(1, 0): "#"}, row_n_top=False)
+    flipped = render_ascii(g2, [(one, "#")], row_n_top=False)
     assert flipped.splitlines()[0] == ". # ."
     with pytest.raises(ValueError):
-        render_ascii(g2, {(0, 0): "##"})
+        render_ascii(g2, [(one, "##")])
+    # a later layer wins where layers overlap
+    layered = render_ascii(g2, [(g2.set_of([(0, 0), (1, 0)]), "R"), (one, "Y")], "G")
+    assert layered == "G\nG G\nR Y G\n"
+    with pytest.raises(ValueError, match="does not belong to this grid"):
+        render_ascii(g2, [(TriGrid(3).set_of([(1, 0)]), "#")])
 
 
 def test_automorphisms_preserve_adjacency():

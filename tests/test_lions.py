@@ -75,15 +75,19 @@ def test_lion_step_raises_exactly_on_non_edges():
 
 def test_lion_moves_refuse_non_integral_coordinates():
     g = TriGrid(3)
-    for dest in [(1.0, 0), (0.0, 0), (1, 0.5), ("1", 0)]:
-        with pytest.raises(ValueError, match="integers"):
+    for dest in [(1.0, 0), (0.0, 0), (1, 0.5), ("1", 0), (True, 0)]:
+        with pytest.raises(ValueError, match=r"^v[12] must be an integer"):
             lion_step(g, (Coord(0, 0),), [dest], g.empty_set())
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match=r"^v[12] must be an integer"):
             LionTrace.from_moves(g, [(0, 0)], [[(0, dest)]])
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="^v1 must be an integer, got 0.0$"):
         LionTrace.from_moves(g, [(0.0, 0)], [])
-    with pytest.raises(ValueError, match="integer"):
-        LionTrace.from_moves(g, [(0, 0)], [[(0.0, (1, 0))]])
+    with pytest.raises(ValueError, match="^v1 must be an integer, got True$"):
+        lion_step(g, ((True, 0),), [None], g.empty_set())
+    # a bool lion index is refused, not read as lion 1
+    for idx in (0.0, True):
+        with pytest.raises(ValueError, match=f"^lion index must be an integer, got {idx}$"):
+            LionTrace.from_moves(g, [(0, 0), (0, 1)], [[(idx, (1, 1))]])
 
 
 @pytest.mark.parametrize("turn", [[(0, (1, 0)), (0, (0, 1))], [(0, None), (0, (1, 0))]])
