@@ -15,18 +15,14 @@ tested against.
 
 from __future__ import annotations
 
-from .core import TriGrid
+from .core import TriGrid, as_int
 
 ORDER_LIMIT = 63  # the longest row, n + 1 vertices, must fit one uint64 word
 _BLOCK = 1 << 12  # sets per kernel pass; a block's words stay in cache
 
 
 def _check_order(grid: TriGrid) -> None:
-    if grid.n > ORDER_LIMIT:
-        raise ValueError(
-            f"batch kernels hold each grid row in one 64-bit word, so n <= "
-            f"{ORDER_LIMIT}; got T_{grid.n}"
-        )
+    as_int(grid.n, "batch kernel order (one grid row per 64-bit word)", hi=ORDER_LIMIT)
 
 
 def _blockwise(grid: TriGrid, mat: np.ndarray, kernel) -> np.ndarray:

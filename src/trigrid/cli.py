@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from typing import Any
 
 from . import __version__
-from .core import TriGrid, VertexSet, boundary, csv_text, render_ascii
+from .core import TriGrid, VertexSet, as_int, boundary, csv_text, render_ascii
 from .compress import compress_left, compress_right
 from .isoperimetry import EXHAUSTIVE_DEFAULT_LIMIT, exhaustive_min_boundary, sampled_check
 from .lions import (
@@ -183,11 +183,8 @@ def dispatch(config: RunConfig) -> Report:
     run, has_text = COMMANDS[config.command]
     if config.fmt != "json" and not has_text(config.params):
         raise ValueError(f"--format {config.fmt} is not available for {config.command}")
-    cpus = os.cpu_count() or 1
-    if not 1 <= config.threads <= cpus:
-        raise ValueError(f"--threads must be in 1..{cpus}, got {config.threads}")
-    if config.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {config.seed}")
+    as_int(config.threads, "--threads", 1, os.cpu_count() or 1)
+    as_int(config.seed, "--seed", 0)
     t0 = time.perf_counter()
     payload, ok, text = run(config.params, config)
     return Report(

@@ -17,18 +17,27 @@ from typing import Iterable, Iterator, NamedTuple
 NEIGHBOR_OFFSETS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
 
 
-def as_int(x, what: str) -> int:
-    """The one integer rule for grid orders, coordinates, dense ids, lion
-    indices and trace fields: Python and numpy integers pass as int;
-    bools, floats, strings and anything else raise ValueError."""
-    if type(x) is int:
-        return x
-    if not isinstance(x, bool):
+def as_int(x, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """The one integer rule, for every integer argument: grid orders and
+    their caps, coordinates, dense ids, sizes, budgets, counts, indices,
+    seeds and trace fields.  Python and numpy integers pass as int; bools,
+    floats, strings and anything else raise ValueError.  With lo and/or hi
+    given, a value outside lo..hi raises ValueError too, naming the range
+    as "at least lo", "at most hi" or "in lo..hi"."""
+    if type(x) is not int:
+        if isinstance(x, bool):
+            raise ValueError(f"{what} must be an integer, got {x!r}")
         try:
-            return operator.index(x)
+            x = operator.index(x)
         except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {x!r}")
+            raise ValueError(f"{what} must be an integer, got {x!r}") from None
+    if (lo is not None and x < lo) or (hi is not None and x > hi):
+        if hi is None:
+            raise ValueError(f"{what} must be at least {lo}, got {x}")
+        if lo is None:
+            raise ValueError(f"{what} must be at most {hi}, got {x}")
+        raise ValueError(f"{what} must be in {lo}..{hi}, got {x}")
+    return x
 
 
 class Coord(NamedTuple):
@@ -68,10 +77,7 @@ class TriGrid:
     )
 
     def __init__(self, n: int):
-        n = as_int(n, "grid order")
-        if n < 1:
-            raise ValueError(f"grid order must be at least 1, got {n}")
-        self.n = n
+        self.n = n = as_int(n, "grid order", 1)
         self.vertex_count = (n + 1) * (n + 2) // 2
         self.full_mask = (1 << self.vertex_count) - 1
         offsets = []
@@ -131,9 +137,7 @@ class TriGrid:
 
     def coord(self, i: int) -> Coord:
         """Vertex of a dense id, read with as_int."""
-        i = as_int(i, "dense id")
-        if not 0 <= i < self.vertex_count:
-            raise ValueError(f"dense id {i} out of range for T_{self.n}")
+        i = as_int(i, "dense id", 0, self.vertex_count - 1)
         r = bisect_right(self._row_offset, i) - 1
         return Coord(i - self._row_offset[r], r)
 
@@ -228,9 +232,9 @@ def _sum_of_powers(positions: list[int], size: int) -> int:
 
 
 class VertexSet:
-    """A subset of V(T_n): bitmask over dense ids plus cached cardinality."""
+    """A subset of V(T_n): a bitmask over dense ids."""
 
-    __slots__ = ("grid", "bits", "_size")
+    __slots__ = ("grid", "bits")
 
     def __init__(self, grid: TriGrid, coords: Iterable = ()):
         self.grid = grid
@@ -238,7 +242,6 @@ class VertexSet:
         for v in coords:
             bits |= 1 << grid.index(v)
         self.bits = bits
-        self._size = bits.bit_count()
 
     @classmethod
     def from_bits(cls, grid: TriGrid, bits: int) -> "VertexSet":
@@ -247,7 +250,6 @@ class VertexSet:
         vs = cls.__new__(cls)
         vs.grid = grid
         vs.bits = bits
-        vs._size = bits.bit_count()
         return vs
 
     @classmethod
@@ -300,7 +302,7 @@ class VertexSet:
                 word ^= low
 
     def __len__(self) -> int:
-        return self._size
+        return self.bits.bit_count()
 
     def __bool__(self) -> bool:
         return self.bits != 0
@@ -316,39 +318,28 @@ class VertexSet:
         return f"VertexSet(T_{self.grid.n}, {[tuple(v) for v in self]})"
 
     def add(self, v) -> None:
-        b = 1 << self.grid.index(v)
-        if not self.bits & b:
-            self.bits |= b
-            self._size += 1
+        self.bits |= 1 << self.grid.index(v)
 
     def discard(self, v) -> None:
-        b = 1 << self.grid.index(v)
-        if self.bits & b:
-            self.bits ^= b
-            self._size -= 1
+        self.bits &= ~(1 << self.grid.index(v))
 
     def copy(self) -> "VertexSet":
         return VertexSet.from_bits(self.grid, self.bits)
 
-    def _coerce(self, other: "VertexSet") -> int:
-        if not isinstance(other, VertexSet) or other.grid.n != self.grid.n:
-            raise ValueError("vertex sets belong to different grids")
-        return other.bits
-
     def __or__(self, other) -> "VertexSet":
-        return VertexSet.from_bits(self.grid, self.bits | self._coerce(other))
+        return VertexSet.from_bits(self.grid, self.bits | _set_bits(self.grid, other))
 
     def __and__(self, other) -> "VertexSet":
-        return VertexSet.from_bits(self.grid, self.bits & self._coerce(other))
+        return VertexSet.from_bits(self.grid, self.bits & _set_bits(self.grid, other))
 
     def __sub__(self, other) -> "VertexSet":
-        return VertexSet.from_bits(self.grid, self.bits & ~self._coerce(other))
+        return VertexSet.from_bits(self.grid, self.bits & ~_set_bits(self.grid, other))
 
     def __xor__(self, other) -> "VertexSet":
-        return VertexSet.from_bits(self.grid, self.bits ^ self._coerce(other))
+        return VertexSet.from_bits(self.grid, self.bits ^ _set_bits(self.grid, other))
 
     def issubset(self, other) -> bool:
-        return not self.bits & ~self._coerce(other)
+        return not self.bits & ~_set_bits(self.grid, other)
 
     def complement(self) -> "VertexSet":
         return VertexSet.from_bits(self.grid, self.grid.full_mask & ~self.bits)
@@ -381,9 +372,14 @@ def automorphism_id_permutations(grid: TriGrid) -> list[tuple[int, ...]]:
 
 
 def _set_bits(grid: TriGrid, a: VertexSet) -> int:
-    if a.grid.n != grid.n:
+    """The one vertex-set rule, for every set argument: the bitmask of a, a
+    VertexSet of grid.  Anything that is not a VertexSet, and a VertexSet
+    of another grid, raises ValueError."""
+    if isinstance(a, VertexSet) and a.grid.n == grid.n:
+        return a.bits
+    if isinstance(a, VertexSet):
         raise ValueError("vertex set does not belong to this grid")
-    return a.bits
+    raise ValueError(f"expected a VertexSet, got {type(a).__name__}")
 
 
 def _ids(bits: int) -> list[int]:
@@ -426,11 +422,10 @@ def render_ascii(
     Each layer is a (VertexSet, glyph) pair; where layers overlap the later
     one wins, and default fills the vertices in no layer.
     """
-    marks = []
-    for vset, glyph in layers:
+    marks = [(_set_bits(grid, vset), glyph) for vset, glyph in layers]
+    for glyph in (default, *(glyph for _, glyph in marks)):
         if type(glyph) is not str or len(glyph) != 1:
             raise ValueError(f"glyph {glyph!r} must be a single character")
-        marks.append((_set_bits(grid, vset), glyph))
     rows = range(grid.n, -1, -1) if row_n_top else range(grid.n + 1)
     lines = []
     for r in rows:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from . import bulk
-from .core import TriGrid, csv_text
+from .core import TriGrid, as_int, csv_text
 from .ordering import (
     final_segment_boundary_size,
     initial_segment_boundary_size,
@@ -101,16 +101,11 @@ def exhaustive_min_boundary(
     explicitly to accept the ~268M-subset run).  Larger orders should use
     sampled_check instead.
     """
-    n = grid.n
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if n > min(limit, EXHAUSTIVE_HARD_LIMIT):
-        raise ValueError(
-            f"T_{n} has 2^{grid.vertex_count} subsets; exhaustive enumeration is "
-            f"capped at n = {min(limit, EXHAUSTIVE_HARD_LIMIT)} (use sampled_check "
-            f"for larger orders)"
-        )
+    workers = as_int(workers, "workers", 1)
+    cap = min(as_int(limit, "limit"), EXHAUSTIVE_HARD_LIMIT)
     nv = grid.vertex_count
+    what = f"exhaustive scan order (2^{nv} subsets; use sampled_check for larger orders)"
+    n = as_int(grid.n, what, hi=cap)
     total = 1 << nv
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -166,10 +161,9 @@ def sampled_check(grid: TriGrid, samples: int, seed: int) -> SampledReport:
     """
     import numpy as np
 
-    if grid.n > SAMPLED_ORDER_LIMIT:
-        raise ValueError(f"sampled check supports n <= {SAMPLED_ORDER_LIMIT}")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    as_int(grid.n, "sampled check order", hi=SAMPLED_ORDER_LIMIT)
+    samples = as_int(samples, "samples", 1)
+    seed = as_int(seed, "seed", 0)
     nv = grid.vertex_count
     packing = np.array([packing_minimum(grid, k) for k in range(nv + 1)])
     rng = np.random.default_rng(seed)
@@ -240,9 +234,7 @@ def diagonal_segment_check(grid: TriGrid) -> DiagonalSegmentReport:
     """
     import numpy as np
 
-    if grid.n > DIAGONAL_CHECK_ORDER_LIMIT:
-        raise ValueError(f"exhaustive diagonal check supports n <= {DIAGONAL_CHECK_ORDER_LIMIT}")
-    n = grid.n
+    n = as_int(grid.n, "diagonal check order", hi=DIAGONAL_CHECK_ORDER_LIMIT)
     nv = grid.vertex_count
     diag_bits = 0
     for v1 in range(n + 1):
@@ -294,7 +286,6 @@ def lower_bound_certificate(grid: TriGrid, m: int) -> bool:
     inequality, so only packing minima are consulted, never enumeration.
     """
     n = grid.n
-    if not 0 <= m <= n + 1:
-        raise ValueError(f"certificate budget must be in [0, {n + 1}], got {m}")
+    m = as_int(m, "certificate budget", 0, n + 1)
     i = triangular(n + 1) - triangular(m)
     return all(packing_minimum(grid, s) >= m for s in range(i + 1, i + m))

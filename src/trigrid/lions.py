@@ -21,6 +21,7 @@ from .core import (
     TriGrid,
     VertexSet,
     _ids,
+    _set_bits,
     as_int,
 )
 from .search import SearchTrace, TraceError, _reaches
@@ -74,9 +75,7 @@ def _legal_moves(grid: TriGrid, positions: Sequence[Coord], turn) -> list[tuple[
     named = set()
     moves = []
     for idx, dest in turn:
-        idx = as_int(idx, "lion index")
-        if not 0 <= idx < len(positions):
-            raise ValueError(f"lion index {idx} out of range")
+        idx = as_int(idx, "lion index", 0, len(positions) - 1)
         if idx in named:
             raise ValueError(f"lion {idx} is named twice in one turn")
         named.add(idx)
@@ -129,7 +128,8 @@ def lion_step(
         raise ValueError("one destination entry per lion required")
     positions = tuple(grid.check(v) for v in positions)
     ids = [_id(grid, v) for v in positions]
-    new_positions, _, cont = _turn(grid, positions, ids, enumerate(dests), contaminated.bits)
+    cont = _set_bits(grid, contaminated)
+    new_positions, _, cont = _turn(grid, positions, ids, enumerate(dests), cont)
     return new_positions, VertexSet.from_bits(grid, cont)
 
 
@@ -270,6 +270,7 @@ def random_legal_walk(
     grid: TriGrid, lions: int, turns: int, rng: random.Random
 ) -> LionTrace:
     """A random legal lion schedule (for property checks; rarely winning)."""
+    lions, turns = as_int(lions, "lions", 0), as_int(turns, "turns", 0)
     start = [grid.coord(rng.randrange(grid.vertex_count)) for _ in range(lions)]
     positions = list(start)
     turn_list: list[Turn] = []
@@ -319,11 +320,8 @@ def exact_lion_number(grid: TriGrid, max_l: int) -> int | None:
     (positions up to permutation, contamination) states; all simultaneous
     move combinations, including swaps and stacking, are explored.
     """
-    if grid.n > EXACT_ORDER_LIMIT:
-        raise ValueError(f"exact lion solving supports n <= {EXACT_ORDER_LIMIT}")
-    if max_l < 1:
-        raise ValueError(f"max_l must be at least 1, got {max_l}")
-    for lions in range(1, max_l + 1):
+    as_int(grid.n, "exact lion solving order", hi=EXACT_ORDER_LIMIT)
+    for lions in range(1, as_int(max_l, "max_l", 1) + 1):
         if _lions_can_clear(grid, lions):
             return lions
     return None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Coord, TriGrid, VertexSet, _set_bits
+from .core import Coord, TriGrid, VertexSet, _set_bits, as_int
 
 
 def triangular(j: int) -> int:
@@ -43,9 +43,7 @@ def _coord_at(rank: int) -> Coord:
 
 
 def rank_to_coord(grid: TriGrid, rank: int) -> Coord:
-    if not 0 <= rank < grid.vertex_count:
-        raise ValueError(f"rank {rank} out of range for T_{grid.n}")
-    return _coord_at(rank)
+    return _coord_at(as_int(rank, "rank", 0, grid.vertex_count - 1))
 
 
 def simplicial_order(grid: TriGrid) -> list[Coord]:
@@ -75,21 +73,15 @@ def rank_sum(grid: TriGrid, a: VertexSet) -> int:
     return sum(simplicial_rank(grid, v) for v in a)
 
 
-def _check_size(grid: TriGrid, k: int) -> int:
-    if not 0 <= k <= grid.vertex_count:
-        raise ValueError(f"segment size {k} out of range for T_{grid.n}")
-    return k
-
-
 def initial_segment(grid: TriGrid, k: int) -> VertexSet:
     """The k lowest-ranked vertices (ice cream cone packing of size k)."""
-    _check_size(grid, k)
+    k = as_int(k, "segment size", 0, grid.vertex_count)
     return VertexSet.from_bits(grid, _prefix_bits(grid, k))
 
 
 def final_segment(grid: TriGrid, k: int) -> VertexSet:
     """The k highest-ranked vertices (row packing of size k)."""
-    _check_size(grid, k)
+    k = as_int(k, "segment size", 0, grid.vertex_count)
     prefix = _prefix_bits(grid, grid.vertex_count - k)
     return VertexSet.from_bits(grid, grid.full_mask & ~prefix)
 
@@ -102,7 +94,7 @@ def initial_segment_boundary_size(grid: TriGrid, k: int) -> int:
     l + 2 with triangular(l) < k <= triangular(l + 1); l + 1, the least j
     with triangular(j) >= k, is (isqrt(8k) + 1) // 2.
     """
-    _check_size(grid, k)
+    k = as_int(k, "segment size", 0, grid.vertex_count)
     if k == 0:
         return 0
     if k > triangular(grid.n):
@@ -117,7 +109,7 @@ def final_segment_boundary_size(grid: TriGrid, k: int) -> int:
     one has boundary l, the least l with triangular(l) >= |V| - k, which
     is (isqrt(8(|V| - k)) + 1) // 2; the full set gives l = 0.
     """
-    _check_size(grid, k)
+    k = as_int(k, "segment size", 0, grid.vertex_count)
     if k == 0:
         return 0
     if k <= grid.n:

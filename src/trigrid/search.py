@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from . import bulk
-from .core import TriGrid, VertexSet, _ids, as_int, automorphism_id_permutations
+from .core import TriGrid, VertexSet, _ids, _set_bits, as_int, automorphism_id_permutations
 from .isoperimetry import lower_bound_certificate
 
 EXACT_ORDER_LIMIT = 4
@@ -32,9 +32,7 @@ def sweep_budget(n: int) -> int:
 
 def step(grid: TriGrid, dirty: VertexSet, s: VertexSet) -> VertexSet:
     """One search turn: remove s, then spread to closed neighborhoods."""
-    if dirty.grid.n != grid.n or s.grid.n != grid.n:
-        raise ValueError("dirty set or search set belongs to a different grid")
-    rem = dirty.bits & ~s.bits
+    rem = _set_bits(grid, dirty) & ~_set_bits(grid, s)
     return VertexSet.from_bits(grid, rem | grid.spread_bits(rem))
 
 
@@ -104,9 +102,7 @@ class SearchTrace:
     def from_json_obj(cls, obj: dict) -> "SearchTrace":
         try:
             grid = TriGrid(obj["n"])
-            budget = as_int(obj["budget"], "budget")
-            if budget < 0:
-                raise ValueError(f"budget must be non-negative, got {budget}")
+            budget = as_int(obj["budget"], "budget", 0)
             searches = [VertexSet.from_pairs(grid, pairs) for pairs in obj["searches"]]
             stored = obj.get("dirty_checksums")
             if "dirty_checksums" in obj and not (
@@ -319,11 +315,8 @@ def _clearable_with_budget(grid: TriGrid, m: int) -> bool:
 
 def exact_inspection_number(grid: TriGrid, max_m: int) -> int | None:
     """Least per-turn budget that clears T_n, or None past max_m (n <= 4)."""
-    if grid.n > EXACT_ORDER_LIMIT:
-        raise ValueError(f"exact solving supports n <= {EXACT_ORDER_LIMIT}")
-    if max_m < 1:
-        raise ValueError(f"max_m must be at least 1, got {max_m}")
-    for m in range(1, max_m + 1):
+    as_int(grid.n, "exact solving order", hi=EXACT_ORDER_LIMIT)
+    for m in range(1, as_int(max_m, "max_m", 1) + 1):
         if _clearable_with_budget(grid, m):
             return m
     return None
@@ -344,12 +337,8 @@ class BoundsRow:
 def inspection_bounds_report(n_max: int, exact_up_to: int = 1) -> list[BoundsRow]:
     """Per-order bounds: certified lower bound, replayed upper bound,
     and the exact value where the solver is allowed to run."""
-    if not 1 <= n_max <= 50:
-        raise ValueError(f"bounds report supports 1 <= n_max <= 50, got {n_max}")
-    if exact_up_to < 0:
-        raise ValueError(f"exact_up_to must be at least 0, got {exact_up_to}")
-    if exact_up_to > EXACT_ORDER_LIMIT:
-        raise ValueError(f"exact solving supports n <= {EXACT_ORDER_LIMIT}")
+    n_max = as_int(n_max, "n_max", 1, 50)
+    exact_up_to = as_int(exact_up_to, "exact_up_to", 0, EXACT_ORDER_LIMIT)
     rows = []
     for n in range(1, n_max + 1):
         grid = TriGrid(n)

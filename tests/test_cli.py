@@ -1,5 +1,6 @@
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_COMMANDS = [
+    line.split("#")[0].split()[1:]
+    for line in README.read_text(encoding="utf-8").splitlines()
+    if line.startswith("trigrid ")
+]
+
+
+def test_readme_commands_found():
+    assert len(README_COMMANDS) == 11
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_runs(tmp_path, monkeypatch, capsys, argv):
+    # The README's input files: a.json a four-vertex set, lions.json the T_3 sweep.
+    (tmp_path / "a.json").write_text(json.dumps([[0, 0], [1, 1], [0, 2], [2, 0]]))
+    (tmp_path / "lions.json").write_text(column_sweep_strategy(TriGrid(3)).to_json())
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and out
 
 
 def test_verify_isoperimetry_exhaustive(capsys):
@@ -340,7 +363,7 @@ def test_malformed_input_file_is_usage_error(tmp_path, capsys, content, argv):
 def test_nothing_to_check_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
-    assert "at least 1" in err or "1 <= n_max" in err
+    assert "at least 1" in err or "n_max must be in 1..50, got 0" in err
 
 
 def test_negative_exact_up_to_is_usage_error(capsys):
@@ -367,4 +390,4 @@ def test_threads_out_of_range_is_usage_error(capsys, threads):
 def test_negative_seed_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv, "--seed", "-1")
     assert code == EXIT_USAGE and out == ""
-    assert err == "error: --seed must be non-negative, got -1\n"
+    assert err == "error: --seed must be at least 0, got -1\n"

@@ -9,9 +9,11 @@ from trigrid import (
     compress_right,
     initial_segment,
     is_compressed,
+    lion_step,
     neighborhood,
     rank_sum,
     reflect,
+    step,
 )
 from trigrid import bulk
 
@@ -165,6 +167,9 @@ WRONG_GRID_CALLS = {
     "compress_right": lambda g, a: compress_right(g, a, 2),
     "is_compressed": lambda g, a: is_compressed(g, a, 1, "left"),
     "reflect": lambda g, a: reflect(g, a, 2),
+    "union": lambda g, a: g.full_set() | a,
+    "step": lambda g, a: step(g, g.full_set(), a),
+    "lion_step": lambda g, a: lion_step(g, [(0, 0)], [None], a),
 }
 
 

@@ -9,10 +9,23 @@ from trigrid import (
     VertexSet,
     automorphism_id_permutations,
     boundary,
+    exact_inspection_number,
+    exact_lion_number,
+    exhaustive_min_boundary,
+    final_segment,
+    initial_segment,
+    inspection_bounds_report,
     interior_boundary,
+    lower_bound_certificate,
     neighborhood,
+    packing_minimum,
+    random_legal_walk,
+    rank_to_coord,
     render_ascii,
+    sampled_check,
+    step,
 )
+from trigrid.cli import RunConfig, dispatch
 
 from helpers import (
     adjacency_oracle,
@@ -35,6 +48,51 @@ def test_rejects_order_zero():
 def test_grid_order_refuses_non_integers(bad):
     with pytest.raises(ValueError, match=f"^grid order must be an integer, got {bad!r}$"):
         TriGrid(bad)
+
+
+G3 = TriGrid(3)
+RENDER_PARAMS = {"n": 1, "set": None, "bottom_up": False}
+INTEGER_ARGUMENTS = {
+    "initial_segment": lambda x: initial_segment(G3, x),
+    "final_segment": lambda x: final_segment(G3, x),
+    "packing_minimum": lambda x: packing_minimum(G3, x),
+    "rank_to_coord": lambda x: rank_to_coord(G3, x),
+    "lower_bound_certificate": lambda x: lower_bound_certificate(G3, x),
+    "inspection_bounds_report": lambda x: inspection_bounds_report(x, exact_up_to=0),
+    "inspection_bounds_report exact_up_to": lambda x: inspection_bounds_report(1, x),
+    "exact_inspection_number": lambda x: exact_inspection_number(TriGrid(1), x),
+    "exact_lion_number": lambda x: exact_lion_number(TriGrid(1), x),
+    "sampled_check samples": lambda x: sampled_check(G3, x, seed=1),
+    "sampled_check seed": lambda x: sampled_check(G3, 10, seed=x),
+    "exhaustive_min_boundary limit": lambda x: exhaustive_min_boundary(TriGrid(1), limit=x),
+    "exhaustive_min_boundary workers": lambda x: exhaustive_min_boundary(TriGrid(1), workers=x),
+    "random_legal_walk lions": lambda x: random_legal_walk(G3, x, 2, random.Random(0)),
+    "random_legal_walk turns": lambda x: random_legal_walk(G3, 2, x, random.Random(0)),
+    "dispatch threads": lambda x: dispatch(RunConfig("render", RENDER_PARAMS, threads=x)),
+    "dispatch seed": lambda x: dispatch(RunConfig("render", RENDER_PARAMS, seed=x)),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2"], ids=repr)
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_arguments_refuse_non_integers(name, bad):
+    call = INTEGER_ARGUMENTS[name]
+    call(np.int64(1))  # numpy integers pass
+    with pytest.raises(ValueError, match=f"must be an integer, got {bad!r}$"):
+        call(bad)
+
+
+SET_ARGUMENTS = {
+    "boundary": lambda g, a: boundary(g, a),
+    "step": lambda g, a: step(g, g.full_set(), a),
+    "render_ascii": lambda g, a: render_ascii(g, [(a, "#")]),
+}
+
+
+@pytest.mark.parametrize("name", SET_ARGUMENTS)
+def test_set_arguments_refuse_lists(name):
+    with pytest.raises(ValueError, match="^expected a VertexSet, got list$"):
+        SET_ARGUMENTS[name](G3, [(0, 0)])
 
 
 def test_grid_order_reads_numpy_integers_as_ints():
@@ -319,6 +377,9 @@ def test_vertex_set_basics():
     assert a.complement().complement() == a
     with pytest.raises(ValueError):
         a | TriGrid(4).empty_set()
+    s = g.empty_set()
+    s.bits = 7  # the size is read from the bits, so it follows an assignment
+    assert len(s) == len(list(s)) == 3
 
 
 def test_vertex_set_serialization_round_trips():
@@ -387,8 +448,11 @@ def test_render_ascii_layout():
     assert marked.splitlines()[2] == ". # ."
     flipped = render_ascii(g2, [(one, "#")], row_n_top=False)
     assert flipped.splitlines()[0] == ". # ."
-    with pytest.raises(ValueError):
-        render_ascii(g2, [(one, "##")])
+    for glyph in ("##", "", 5):
+        with pytest.raises(ValueError, match="must be a single character"):
+            render_ascii(g2, [(one, glyph)])
+        with pytest.raises(ValueError, match="must be a single character"):
+            render_ascii(g2, default=glyph)
     # a later layer wins where layers overlap
     layered = render_ascii(g2, [(g2.set_of([(0, 0), (1, 0)]), "R"), (one, "Y")], "G")
     assert layered == "G\nG G\nR Y G\n"

@@ -208,7 +208,7 @@ def test_diagonal_segments_against_direct_enumeration():
 
 
 def test_diagonal_segment_check_order_limit():
-    with pytest.raises(ValueError, match="n <= 6"):
+    with pytest.raises(ValueError, match="^diagonal check order must be at most 6, got 7$"):
         diagonal_segment_check(TriGrid(7))
 
 

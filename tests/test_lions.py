@@ -316,7 +316,7 @@ def test_lion_trace_json_refuses_malformed(edit):
         ({"start": [[3, 3], [0, 1], [0, 2]]}, "not a vertex"),
         ({"moves": [[[0, [3, 3]]]]}, "not a vertex"),
         ({"moves": [[[0, [2, 0]]]]}, "illegal lion move"),
-        ({"moves": [[[7, [1, 0]]]]}, "out of range"),
+        ({"moves": [[[7, [1, 0]]]]}, "lion index must be in 0..2, got 7"),
         ({"moves": [[[0, [1, 0]], [0, [0, 1]]]]}, "twice"),
     ],
 )
