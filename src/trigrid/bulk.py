@@ -1,11 +1,11 @@
 """Vectorized batch operations over many vertex subsets at once.
 
-Subsets are rows of a (count, vertex_count) uint8 membership matrix,
-column j = dense id j, nonzero = member.  Each kernel packs its matrix,
-block by block, into one uint64 word per grid row (bit c of word r is
-vertex (c, r), cut from the row's run of dense ids), works on those
-words with shifts and np.bitwise_count, and unpacks once when it
-returns a matrix.
+A batch of sets is a (count, W) uint64 array, W = ceil(V / 64): row i
+is set i's dense-id bitmask, 64 ids per word, low word first, so
+pack_rows gives back VertexSet.bits.  Each kernel cuts its rows, block
+by block, into one uint64 word per grid row (bit c of word r is vertex
+(c, r), cut from the row's run of dense ids), works on those words with
+shifts and np.bitwise_count, and joins them back when it returns sets.
 A grid row holds at most n + 1 vertices, so every kernel refuses n > 63.
 Each function imports numpy itself, so importing trigrid does not.
 These back the large exhaustive and randomized sweeps; the scalar
@@ -15,6 +15,7 @@ tested against.
 
 from __future__ import annotations
 
+from .compress import _check_axis, _check_side
 from .core import TriGrid, as_int
 
 ORDER_LIMIT = 63  # the longest row, n + 1 vertices, must fit one uint64 word
@@ -25,56 +26,54 @@ def _check_order(grid: TriGrid) -> None:
     as_int(grid.n, "batch kernel order (one grid row per 64-bit word)", hi=ORDER_LIMIT)
 
 
-def _blockwise(grid: TriGrid, mat: np.ndarray, kernel) -> np.ndarray:
+def _blockwise(grid: TriGrid, sets: np.ndarray, kernel) -> np.ndarray:
     """kernel(row words) over blocks of _BLOCK sets, results concatenated."""
     import numpy as np
 
     _check_order(grid)
-    mat = np.asarray(mat)
     nv = grid.vertex_count
-    if mat.ndim != 2 or mat.shape[1] != nv:
+    width = -(-nv // 64)
+    sets = np.asarray(sets)
+    if sets.dtype != np.uint64 or sets.shape[1:] != (width,):
         raise ValueError(
-            f"expected a (count, {nv}) membership matrix for T_{grid.n}, "
-            f"got shape {mat.shape}"
+            f"expected a (count, {width}) uint64 array of dense-id words for T_{grid.n}, "
+            f"got {sets.dtype} of shape {sets.shape}"
         )
+    if (sets[:, -1] >> (nv - 64 * (width - 1))).any():
+        raise ValueError("sets have bits outside the grid")
     return np.concatenate(
         [
-            kernel(_row_words(grid, mat[s : s + _BLOCK]))
-            for s in range(0, max(len(mat), 1), _BLOCK)
+            kernel(_row_words(grid, sets[s : s + _BLOCK]))
+            for s in range(0, max(len(sets), 1), _BLOCK)
         ]
     )
 
 
-def _row_words(grid: TriGrid, mat: np.ndarray) -> np.ndarray:
+def _row_words(grid: TriGrid, sets: np.ndarray) -> np.ndarray:
     """(n + 1, count) uint64: bit c of word r is vertex (c, r) of each set."""
     import numpy as np
 
-    nv = grid.vertex_count
-    raw = np.zeros((mat.shape[0], 8 * -(-nv // 64)), dtype=np.uint8)
-    raw[:, : (nv + 7) // 8] = np.packbits(mat, axis=1, bitorder="little")
-    dense = raw.view(np.uint64)
-    words = np.empty((grid.n + 1, mat.shape[0]), dtype=np.uint64)
+    words = np.empty((grid.n + 1, len(sets)), dtype=np.uint64)
     for r, (off, mask) in enumerate(zip(grid._row_offset, grid._row_mask)):
         q, s = divmod(off, 64)
-        w = dense[:, q] >> s
+        w = sets[:, q] >> s
         if s + mask.bit_length() > 64:
-            w |= dense[:, q + 1] << (64 - s)
+            w |= sets[:, q + 1] << (64 - s)
         words[r] = w & mask
     return words
 
 
-def _membership(grid: TriGrid, words: np.ndarray) -> np.ndarray:
-    """Inverse of _row_words: the (count, vertex_count) uint8 matrix."""
+def _from_row_words(grid: TriGrid, words: np.ndarray) -> np.ndarray:
+    """Inverse of _row_words: the (count, W) dense-id words."""
     import numpy as np
 
-    nv = grid.vertex_count
-    dense = np.zeros((words.shape[1], -(-nv // 64)), dtype=np.uint64)
+    sets = np.zeros((words.shape[1], -(-grid.vertex_count // 64)), dtype=np.uint64)
     for r, (off, mask) in enumerate(zip(grid._row_offset, grid._row_mask)):
         q, s = divmod(off, 64)
-        dense[:, q] |= words[r] << s
+        sets[:, q] |= words[r] << s
         if s + mask.bit_length() > 64:
-            dense[:, q + 1] |= words[r] >> (64 - s)
-    return np.unpackbits(dense.view(np.uint8), axis=1, count=nv, bitorder="little")
+            sets[:, q + 1] |= words[r] >> (64 - s)
+    return sets
 
 
 def _row_masks(grid: TriGrid) -> np.ndarray:
@@ -137,7 +136,7 @@ def union_table(images) -> np.ndarray:
 
 
 def subsets_from_ids(grid: TriGrid, ids: np.ndarray) -> np.ndarray:
-    """Membership matrix for subset counter values (bit j = dense id j)."""
+    """Sets of subset counter values (bit j = dense id j), one word each."""
     import numpy as np
 
     _check_order(grid)
@@ -145,45 +144,49 @@ def subsets_from_ids(grid: TriGrid, ids: np.ndarray) -> np.ndarray:
     if nv > 64:
         raise ValueError(f"T_{grid.n} has {nv} vertices; subset ids are 64-bit")
     try:
-        ids = np.asarray(ids, dtype="<u8")
+        ids = np.asarray(ids, dtype=np.uint64)
     except OverflowError:
         raise ValueError("subset ids have bits outside the grid") from None
     if ids.ndim != 1:
         raise ValueError(f"expected a 1-D array of subset ids, got shape {ids.shape}")
     if (ids >> nv).any():
         raise ValueError("subset ids have bits outside the grid")
-    return np.unpackbits(
-        ids[:, None].view(np.uint8), axis=1, count=nv, bitorder="little"
-    )
+    return ids[:, None]
 
 
 def random_subsets(grid: TriGrid, count: int, rng: np.random.Generator) -> np.ndarray:
     """count independent uniform subsets (each vertex in with probability 1/2).
 
-    The same matrix, and the same generator state after it, as
-    rng.integers(0, 2, size=(count, V), dtype=np.uint8).  For a range of
-    two, numpy keeps bit 7 of each byte of consecutive 32-bit outputs,
-    low byte first; drawing those outputs whole skips its per-byte loop.
+    The same sets, and the same generator state after them, as the rows
+    of rng.integers(0, 2, size=(count, V), dtype=np.uint8).  For a range
+    of two, numpy keeps bit 7 of each byte of consecutive 32-bit
+    outputs, low byte first; drawing those outputs whole skips its
+    per-byte loop, and one packbits turns the cells into words.
     """
     import numpy as np
 
     _check_order(grid)
+    count = as_int(count, "count", 0)
     nv = grid.vertex_count
     words = rng.integers(0, 1 << 32, size=-(-count * nv // 4), dtype=np.uint32)
     cells = words.astype("<u4", copy=False).view(np.uint8)[: count * nv]
-    cells >>= 7  # in place: the matrix takes no more memory than the draw
-    return cells.reshape(count, nv)
+    cells >>= 7  # in place: the cells take no more memory than the draw
+    raw = np.zeros((count, 8 * -(-nv // 64)), dtype=np.uint8)
+    raw[:, : (nv + 7) // 8] = np.packbits(cells.reshape(count, nv), axis=1, bitorder="little")
+    return raw.view("<u8")
 
 
-def pack_rows(mat: np.ndarray) -> list[int]:
-    """Each row as a Python bitmask int (for cross-checks with VertexSet)."""
+def pack_rows(sets: np.ndarray) -> list[int]:
+    """Each set as a Python bitmask int, its VertexSet.bits."""
     import numpy as np
 
-    packed = np.packbits(mat.astype(np.uint8), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    sets = np.asarray(sets)
+    if sets.dtype != np.uint64 or sets.ndim != 2:
+        raise ValueError(f"expected a 2-D uint64 array of dense-id words, got {sets.dtype}")
+    return [int.from_bytes(row.tobytes(), "little") for row in sets]
 
 
-def boundary_sizes(grid: TriGrid, mat: np.ndarray) -> np.ndarray:
+def boundary_sizes(grid: TriGrid, sets: np.ndarray) -> np.ndarray:
     import numpy as np
 
     def kernel(words):
@@ -191,10 +194,10 @@ def boundary_sizes(grid: TriGrid, mat: np.ndarray) -> np.ndarray:
         out &= ~words
         return np.bitwise_count(out).sum(axis=0, dtype=np.int64)
 
-    return _blockwise(grid, mat, kernel)
+    return _blockwise(grid, sets, kernel)
 
 
-def neighborhood_sizes(grid: TriGrid, mat: np.ndarray) -> np.ndarray:
+def neighborhood_sizes(grid: TriGrid, sets: np.ndarray) -> np.ndarray:
     import numpy as np
 
     def kernel(words):
@@ -202,10 +205,10 @@ def neighborhood_sizes(grid: TriGrid, mat: np.ndarray) -> np.ndarray:
         out |= words
         return np.bitwise_count(out).sum(axis=0, dtype=np.int64)
 
-    return _blockwise(grid, mat, kernel)
+    return _blockwise(grid, sets, kernel)
 
 
-def compress(grid: TriGrid, mat: np.ndarray, axis: int, side: str) -> np.ndarray:
+def compress(grid: TriGrid, sets: np.ndarray, axis: int, side: str) -> np.ndarray:
     """Section compression of every set; matches compress_left/compress_right.
 
     A 2-section is a row word, and its popcount sets the interval.
@@ -216,10 +219,8 @@ def compress(grid: TriGrid, mat: np.ndarray, axis: int, side: str) -> np.ndarray
     """
     import numpy as np
 
-    if type(axis) is not int or axis not in (1, 2):
-        raise ValueError(f"axis must be 1 or 2, got {axis!r}")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    axis = _check_axis(axis)
+    _check_side(side)
 
     def kernel(words):
         if axis == 2:
@@ -234,6 +235,6 @@ def compress(grid: TriGrid, mat: np.ndarray, axis: int, side: str) -> np.ndarray
         else:
             masks = _row_masks(grid)
             filled = _sort_columns(words[::-1] | ~masks[::-1])[::-1] & masks
-        return _membership(grid, filled)
+        return _from_row_words(grid, filled)
 
-    return _blockwise(grid, mat, kernel)
+    return _blockwise(grid, sets, kernel)

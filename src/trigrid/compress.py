@@ -14,16 +14,18 @@ transposition sort of the row words, which sorts every column at once.
 
 from __future__ import annotations
 
-from .core import TriGrid, VertexSet, _ids, _set_bits, automorphism_id_permutations
+from .core import TriGrid, VertexSet, _ids, _set_bits, as_int, automorphism_id_permutations
 
-AXES = (1, 2)
 SIDES = ("left", "right")
 
 
 def _check_axis(axis: int) -> int:
-    if type(axis) is not int or axis not in AXES:
-        raise ValueError(f"axis must be 1 or 2, got {axis!r}")
-    return axis
+    return as_int(axis, "axis", 1, 2)
+
+
+def _check_side(side: str) -> None:
+    if side not in SIDES:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def _row_words(grid: TriGrid, a: VertexSet) -> list[int]:
@@ -48,7 +50,7 @@ def _sort_columns(words: list[int], comparator) -> list[int]:
 
 def compress_left(grid: TriGrid, a: VertexSet, axis: int) -> VertexSet:
     """Push every section of a to the low end of its range."""
-    _check_axis(axis)
+    axis = _check_axis(axis)
     words = _row_words(grid, a)
     if axis == 2:
         return _from_row_words(grid, [(1 << w.bit_count()) - 1 for w in words])
@@ -61,7 +63,7 @@ def compress_right(grid: TriGrid, a: VertexSet, axis: int) -> VertexSet:
     On axis 1 a member moves up only into a cell of the row above, which
     row r + 1's mask tells; a member below the column's top cell stays.
     """
-    _check_axis(axis)
+    axis = _check_axis(axis)
     masks = grid._row_mask
     words = _row_words(grid, a)
     if axis == 2:  # m ^ m >> c is the top c bits of a row
@@ -75,8 +77,7 @@ def compress_right(grid: TriGrid, a: VertexSet, axis: int) -> VertexSet:
 
 def is_compressed(grid: TriGrid, a: VertexSet, axis: int, side: str) -> bool:
     """True when the chosen compression fixes a."""
-    if side not in SIDES:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    _check_side(side)
     op = compress_left if side == "left" else compress_right
     return op(grid, a, axis) == a
 
@@ -89,6 +90,6 @@ def reflect(grid: TriGrid, a: VertexSet, axis: int) -> VertexSet:
     automorphism_id_permutations.  Conjugating left compression by the
     matching reflection yields right compression.
     """
-    _check_axis(axis)
+    axis = _check_axis(axis)
     perm = automorphism_id_permutations(grid)[4 if axis == 2 else 5]
     return VertexSet.from_bits(grid, sum(1 << perm[i] for i in _ids(_set_bits(grid, a))))

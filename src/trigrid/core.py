@@ -245,6 +245,8 @@ class VertexSet:
 
     @classmethod
     def from_bits(cls, grid: TriGrid, bits: int) -> "VertexSet":
+        if type(bits) is not int:  # as_int's fast path: from_bits runs on every step
+            bits = as_int(bits, "bitmask")
         if bits & ~grid.full_mask:
             raise ValueError("bitmask has bits outside the grid")
         vs = cls.__new__(cls)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from . import bulk
-from .core import TriGrid, as_int, csv_text
+from .core import TriGrid, VertexSet, as_int, csv_text
 from .ordering import (
     final_segment_boundary_size,
     initial_segment_boundary_size,
@@ -124,12 +124,11 @@ def exhaustive_min_boundary(
                 best[k] = part_best[k]
                 witness[k] = part_witness[k]
     packing = [packing_minimum(grid, k) for k in range(nv + 1)]
-    width = (nv + 3) // 4
     return MinBoundaryTable(
         n=n,
         min_boundary=best,
         packing_min=packing,
-        witness_hex=[format(w, f"0{width}x") for w in witness],
+        witness_hex=[VertexSet.from_bits(grid, w).to_hex() for w in witness],
         verified=[b == p for b, p in zip(best, packing)],
     )
 
@@ -167,26 +166,25 @@ def sampled_check(grid: TriGrid, samples: int, seed: int) -> SampledReport:
     nv = grid.vertex_count
     packing = np.array([packing_minimum(grid, k) for k in range(nv + 1)])
     rng = np.random.default_rng(seed)
-    width = (nv + 3) // 4
     violations: list[dict] = []
     min_slack: int | None = None
     done = 0
     while done < samples:
         count = min(_CHUNK, samples - done)
-        mat = bulk.random_subsets(grid, count, rng)
-        card = mat.sum(axis=1, dtype=np.int64)
-        bsize = bulk.boundary_sizes(grid, mat)
+        sets = bulk.random_subsets(grid, count, rng)
+        card = np.bitwise_count(sets).sum(axis=1, dtype=np.int64)
+        bsize = bulk.boundary_sizes(grid, sets)
         slack = bsize - packing[card]
         lo = int(slack.min())
         min_slack = lo if min_slack is None else min(min_slack, lo)
         for i in np.nonzero(slack < 0)[0]:
-            bits = bulk.pack_rows(mat[i : i + 1])[0]
+            bits = bulk.pack_rows(sets[i : i + 1])[0]
             violations.append(
                 {
                     "k": int(card[i]),
                     "boundary": int(bsize[i]),
                     "packing_min": int(packing[card[i]]),
-                    "witness_hex": format(bits, f"0{width}x"),
+                    "witness_hex": VertexSet.from_bits(grid, bits).to_hex(),
                 }
             )
         done += count
@@ -261,14 +259,11 @@ def diagonal_segment_check(grid: TriGrid) -> DiagonalSegmentReport:
         least[case] = [int(x) if s else None for x, s in zip(per_k, seen)]
         bad[case] = slack < 0
     violations = []  # ascending counter, avoid before contain
-    width = (nv + 3) // 4
     for c in np.flatnonzero(bad["avoid"] | bad["contain"]):
         for case, (d, _) in cases.items():
             if bad[case][c]:
-                bits = int(sets[c]) | d
-                violations.append(
-                    {"case": case, "k": bits.bit_count(), "witness_hex": format(bits, f"0{width}x")}
-                )
+                a = VertexSet.from_bits(grid, int(sets[c]) | d)
+                violations.append({"case": case, "k": len(a), "witness_hex": a.to_hex()})
     return DiagonalSegmentReport(
         n=n,
         min_slack_avoid=least["avoid"],

@@ -204,3 +204,14 @@ def spread_oracle(grid: TriGrid, bits: int) -> int:
             s |= above | (above << 1)
         out |= (s & masks[r]) << offs[r]
     return out
+
+
+def set_words(grid: TriGrid, masks) -> "np.ndarray":
+    """The batch form of bitmask ints: a (count, ceil(V / 64)) uint64
+    array, word q of a row holding dense ids 64q..64q+63, cut with plain
+    integer arithmetic."""
+    import numpy as np
+
+    width = -(-grid.vertex_count // 64)
+    words = [[m >> 64 * q & (1 << 64) - 1 for q in range(width)] for m in masks]
+    return np.array(words, dtype=np.uint64).reshape(len(words), width)

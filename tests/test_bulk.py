@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,20 +13,19 @@ from trigrid import (
 )
 from trigrid import bulk
 
-from helpers import all_subsets, boundary_oracle, compress_oracle, neighborhood_oracle
+from helpers import all_subsets, boundary_oracle, compress_oracle, neighborhood_oracle, set_words
 
 SIDES = {"left": compress_left, "right": compress_right}
 
 
 def _sets(g, rng):
     """Empty, full, one vertex per corner, and sparse, half and dense random sets."""
-    nv = g.vertex_count
-    mat = np.zeros((3 + 3 * 8, nv), dtype=np.uint8)
-    mat[1] = 1
-    mat[2, [0, g.index((g.n, 0)), g.index((0, g.n))]] = 1
-    for i, p in enumerate((0.1, 0.5, 0.9)):
-        mat[3 + 8 * i : 11 + 8 * i] = rng.random((8, nv)) < p
-    return mat
+    corners = 1 | 1 << g.index((g.n, 0)) | 1 << g.index((0, g.n))
+    masks = [0, g.full_mask, corners]
+    for p in (0.1, 0.5, 0.9):
+        for _ in range(8):
+            masks.append(sum(1 << int(j) for j in np.flatnonzero(rng.random(g.vertex_count) < p)))
+    return masks
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 5, 6, 9, 10, 13, 20, 30, 63])
@@ -32,17 +33,18 @@ def test_sizes_and_compress_match_scalar(n):
     # Rows of T_10 and beyond straddle 64-bit words of the dense ids;
     # row 0 of T_63 fills a whole word.
     g = TriGrid(n)
-    mat = _sets(g, np.random.default_rng(n))
-    rows = bulk.pack_rows(mat)
-    bsz = bulk.boundary_sizes(g, mat)
-    nsz = bulk.neighborhood_sizes(g, mat)
+    rows = _sets(g, np.random.default_rng(n))
+    sets = set_words(g, rows)
+    assert bulk.pack_rows(sets) == rows
+    bsz = bulk.boundary_sizes(g, sets)
+    nsz = bulk.neighborhood_sizes(g, sets)
     for i, bits in enumerate(rows):
         a = VertexSet.from_bits(g, bits)
         assert bsz[i] == len(boundary(g, a))
         assert nsz[i] == len(neighborhood(g, a))
     for axis in (1, 2):
         for side, op in SIDES.items():
-            out = bulk.pack_rows(bulk.compress(g, mat, axis, side))
+            out = bulk.pack_rows(bulk.compress(g, sets, axis, side))
             assert out == [op(g, VertexSet.from_bits(g, b), axis).bits for b in rows]
             # scalar and bulk share an algorithm, so both face the oracle too
             want = [compress_oracle(g, VertexSet.from_bits(g, b), axis, side) for b in rows]
@@ -53,9 +55,9 @@ def test_sizes_and_compress_match_scalar(n):
 def test_sizes_match_oracle_on_every_subset(n):
     g = TriGrid(n)
     ids = np.arange(1 << g.vertex_count, dtype=np.uint64)
-    mat = bulk.subsets_from_ids(g, ids)
-    bsz = bulk.boundary_sizes(g, mat)
-    nsz = bulk.neighborhood_sizes(g, mat)
+    sets = bulk.subsets_from_ids(g, ids)
+    bsz = bulk.boundary_sizes(g, sets)
+    nsz = bulk.neighborhood_sizes(g, sets)
     for i, a in enumerate(all_subsets(g)):
         assert bsz[i] == len(boundary_oracle(g, a))
         assert nsz[i] == len(neighborhood_oracle(g, a))
@@ -66,16 +68,17 @@ def test_subsets_from_ids_round_trips():
     for n in range(1, 10):
         g = TriGrid(n)
         ids = [0, g.full_mask, *map(int, rng.integers(0, 1 << g.vertex_count, 20))]
-        mat = bulk.subsets_from_ids(g, np.array(ids, dtype=np.uint64))
-        assert mat.shape == (len(ids), g.vertex_count) and mat.dtype == np.uint8
-        assert bulk.pack_rows(mat) == ids
+        sets = bulk.subsets_from_ids(g, np.array(ids, dtype=np.uint64))
+        assert sets.shape == (len(ids), 1) and sets.dtype == np.uint64
+        assert bulk.pack_rows(sets) == ids
 
 
 def test_empty_batches():
-    g = TriGrid(12)
-    mat = np.zeros((0, g.vertex_count), dtype=np.uint8)
-    assert bulk.boundary_sizes(g, mat).shape == (0,)
-    assert bulk.compress(g, mat, 1, "right").shape == (0, g.vertex_count)
+    g = TriGrid(12)  # 91 vertices, two words
+    sets = np.zeros((0, 2), dtype=np.uint64)
+    assert bulk.boundary_sizes(g, sets).shape == (0,)
+    assert bulk.compress(g, sets, 1, "right").shape == (0, 2)
+    assert bulk.random_subsets(g, 0, np.random.default_rng(0)).shape == (0, 2)
 
 
 @pytest.mark.parametrize("ids", [[1 << 6], [1 << 10], [3, 1 << 63], [1 << 64], [-1]])
@@ -85,24 +88,26 @@ def test_subsets_from_ids_refuses_bits_outside_grid(ids):
 
 
 def test_subsets_from_ids_refuses_grids_over_64_vertices():
-    assert bulk.subsets_from_ids(TriGrid(9), [1 << 54]).shape == (1, 55)
+    assert bulk.pack_rows(bulk.subsets_from_ids(TriGrid(9), [1 << 54])) == [1 << 54]
     with pytest.raises(ValueError, match="66 vertices"):
         bulk.subsets_from_ids(TriGrid(10), [1])
 
 
 @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937, np.random.Philox])
 def test_random_subsets_draws_as_integers_0_2(bitgen):
-    # Same matrix and same generator state as the per-vertex reference
+    # Same sets and same generator state as the per-vertex reference
     # draw; c * V odd leaves part of the last 32-bit output unused.
     for n, count in [(1, 0), (1, 1), (2, 3), (3, 7), (9, 5), (20, 65), (30, 4097)]:
         g = TriGrid(n)
         for seed in (0, 1, 7):
             fast = np.random.Generator(bitgen(seed))
             ref = np.random.Generator(bitgen(seed))
-            mat = bulk.random_subsets(g, count, fast)
-            want = ref.integers(0, 2, size=(count, g.vertex_count), dtype=np.uint8)
-            assert mat.dtype == np.uint8 and mat.shape == want.shape
-            assert (mat == want).all()
+            sets = bulk.random_subsets(g, count, fast)
+            cells = ref.integers(0, 2, size=(count, g.vertex_count), dtype=np.uint8)
+            digits = (cells[:, ::-1] + ord("0")).view(f"S{g.vertex_count}")  # high id first
+            want = [int(row, 2) for row in digits[:, 0]]
+            assert sets.dtype == np.uint64 and sets.shape == (count, -(-g.vertex_count // 64))
+            assert bulk.pack_rows(sets) == want
             # Follow-up draws of 32- and 64-bit outputs see the same state.
             after = [
                 [*rng.integers(0, 1 << 32, 5, dtype=np.uint32), *rng.random(3)]
@@ -114,9 +119,9 @@ def test_random_subsets_draws_as_integers_0_2(bitgen):
 def test_every_kernel_refuses_orders_above_63():
     rng = np.random.default_rng(0)
     g, big = TriGrid(63), TriGrid(64)
-    mat = bulk.random_subsets(g, 2, rng)
-    assert bulk.boundary_sizes(g, mat).shape == (2,)
-    wide = np.zeros((2, big.vertex_count), dtype=np.uint8)
+    sets = bulk.random_subsets(g, 2, rng)
+    assert bulk.boundary_sizes(g, sets).shape == (2,)
+    wide = np.zeros((2, -(-big.vertex_count // 64)), dtype=np.uint64)
     calls = [
         lambda: bulk.subsets_from_ids(big, [1]),
         lambda: bulk.random_subsets(big, 2, rng),
@@ -131,7 +136,59 @@ def test_every_kernel_refuses_orders_above_63():
 
 
 def test_membership_matrix_shape_checked():
+    # A batch is (count, W) dense-id words, W = ceil(V / 64) = 1 for T_3.
     g = TriGrid(3)
-    for bad in (np.zeros((4, 9), dtype=np.uint8), np.zeros(10, dtype=np.uint8)):
-        with pytest.raises(ValueError, match="membership matrix"):
+    for bad in (np.zeros((4, 2), dtype=np.uint64), np.zeros(1, dtype=np.uint64)):
+        with pytest.raises(ValueError, match="uint64 array of dense-id words"):
             bulk.boundary_sizes(g, bad)
+
+
+KERNELS = {
+    "boundary_sizes": bulk.boundary_sizes,
+    "neighborhood_sizes": bulk.neighborhood_sizes,
+    "compress": lambda g, sets: bulk.compress(g, sets, 1, "left"),
+}
+WRONG_FORMS = {  # (order, batch); the message names W and the batch's dtype and shape
+    "uint8 membership matrix": (3, np.zeros((1, 10), dtype=np.uint8)),
+    "uint8 matrix of 255s": (3, np.full((1, 10), 255, dtype=np.uint8)),
+    "wrong width": (10, np.zeros((1, 1), dtype=np.uint64)),
+    "int64 words": (3, np.zeros((1, 1), dtype=np.int64)),
+}
+
+
+@pytest.mark.parametrize("form", WRONG_FORMS)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernels_refuse_batches_not_in_word_form(kernel, form):
+    n, bad = WRONG_FORMS[form]
+    g = TriGrid(n)
+    message = (
+        rf"^expected a \(count, {-(-g.vertex_count // 64)}\) uint64 array of dense-id words "
+        rf"for T_{n}, got {bad.dtype} of shape {re.escape(str(bad.shape))}$"
+    )
+    with pytest.raises(ValueError, match=message):
+        KERNELS[kernel](g, bad)
+
+
+@pytest.mark.parametrize("n, last", [(9, [1 << 55]), (9, [1 << 63]), (10, [0, 1 << 2])])
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernels_refuse_bits_past_the_last_vertex(kernel, n, last):
+    # V = 55 fills one word up to bit 54; V = 66 runs two bits into a
+    # second.  The stray bit sits in the second set, after a clean one.
+    g = TriGrid(n)
+    bad = np.array([[0] * len(last), last], dtype=np.uint64)
+    with pytest.raises(ValueError, match="^sets have bits outside the grid$"):
+        KERNELS[kernel](g, bad)
+
+
+def test_pack_rows_refuses_uint8_matrices():
+    with pytest.raises(ValueError, match="uint64 array of dense-id words, got uint8"):
+        bulk.pack_rows(np.ones((1, 10), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("bad", [True, -1, 1.5], ids=repr)
+def test_random_subsets_refuses_bad_counts_before_drawing(bad):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^count must be (an integer|at least 0), got {bad!r}$"):
+        bulk.random_subsets(TriGrid(3), bad, rng)
+    assert rng.bit_generator.state == state

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -197,5 +198,24 @@ AXIS_CALLS = {
 def test_refuses_axis_that_is_not_1_or_2(name, axis):
     # True == 1 and 2.0 == 2, so only the type check refuses those two
     g = TriGrid(3)
-    with pytest.raises(ValueError, match="axis must be 1 or 2"):
-        AXIS_CALLS[name](g, g.set_of([(1, 1), (2, 0)]), axis)
+    a = g.set_of([(1, 1), (2, 0)])
+    for ok in (1, 2):  # numpy integers pass, with the same result
+        assert str(AXIS_CALLS[name](g, a, np.int64(ok))) == str(AXIS_CALLS[name](g, a, ok))
+    message = rf"^axis must be (an integer|in 1\.\.2), got {re.escape(repr(axis))}$"
+    with pytest.raises(ValueError, match=message):
+        AXIS_CALLS[name](g, a, axis)
+
+
+SIDE_CALLS = {
+    "is_compressed": lambda g, a, side: is_compressed(g, a, 1, side),
+    "bulk.compress": lambda g, a, side: bulk.compress(g, bulk.subsets_from_ids(g, [a.bits]), 1, side),
+}
+
+
+@pytest.mark.parametrize("side", ["up", 1, None], ids=repr)
+@pytest.mark.parametrize("name", SIDE_CALLS)
+def test_refuses_side_that_is_not_left_or_right(name, side):
+    g = TriGrid(3)
+    message = rf"^side must be 'left' or 'right', got {re.escape(repr(side))}$"
+    with pytest.raises(ValueError, match=message):
+        SIDE_CALLS[name](g, g.set_of([(1, 1)]), side)

@@ -70,6 +70,7 @@ INTEGER_ARGUMENTS = {
     "random_legal_walk turns": lambda x: random_legal_walk(G3, 2, x, random.Random(0)),
     "dispatch threads": lambda x: dispatch(RunConfig("render", RENDER_PARAMS, threads=x)),
     "dispatch seed": lambda x: dispatch(RunConfig("render", RENDER_PARAMS, seed=x)),
+    "VertexSet.from_bits": lambda x: VertexSet.from_bits(G3, x),
 }
 
 
@@ -98,6 +99,11 @@ def test_set_arguments_refuse_lists(name):
 def test_grid_order_reads_numpy_integers_as_ints():
     g = TriGrid(np.int64(3))
     assert g == TriGrid(3) and type(g.n) is int
+
+
+def test_from_bits_reads_numpy_integers_as_ints():
+    a = VertexSet.from_bits(G3, np.uint64(5))
+    assert a == VertexSet.from_bits(G3, 5) and type(a.bits) is int
 
 
 def test_vertex_count_and_index_bijection():

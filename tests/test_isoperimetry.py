@@ -170,6 +170,23 @@ def test_sampled_check_t9_clean():
     assert rep.min_slack is not None and rep.min_slack >= 0
 
 
+def test_sampled_check_reports_every_violation(monkeypatch):
+    # A packing minimum of V + 1 makes every sample a violation, so the
+    # report lists the whole draw: T_10's 66 ids take two words per set.
+    import numpy as np
+
+    g = TriGrid(10)
+    nv = g.vertex_count
+    monkeypatch.setattr(isoperimetry, "packing_minimum", lambda grid, k: nv + 1)
+    rep = sampled_check(g, 50, seed=5)
+    cells = np.random.default_rng(5).integers(0, 2, size=(50, nv), dtype=np.uint8)
+    want = [VertexSet(g, [g.coord(int(j)) for j in np.flatnonzero(row)]) for row in cells]
+    assert [v["witness_hex"] for v in rep.violations] == [a.to_hex() for a in want]
+    assert [v["k"] for v in rep.violations] == [len(a) for a in want]
+    assert [v["boundary"] for v in rep.violations] == [len(boundary(g, a)) for a in want]
+    assert {v["packing_min"] for v in rep.violations} == {nv + 1}
+
+
 def test_sampled_check_order_limit():
     with pytest.raises(ValueError):
         sampled_check(TriGrid(31), 10, seed=0)

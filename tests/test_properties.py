@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from trigrid import TriGrid, VertexSet, bulk, compress_left, compress_right, reflect
 
-from helpers import compress_oracle, spread_oracle
+from helpers import compress_oracle, set_words, spread_oracle
 
 OPS = {"left": compress_left, "right": compress_right}
 bounded = settings(derandomize=True, max_examples=40, deadline=None)
@@ -38,12 +38,12 @@ def test_spread_bits_matches_row_oracle(case):
 @given(grid_sets())
 def test_scalar_bulk_and_oracle_compressions_agree(case):
     g, a = case
-    mat = np.array([[a.bits >> i & 1 for i in range(g.vertex_count)]], dtype=np.uint8)
+    sets = set_words(g, [a.bits])
     for axis in (1, 2):
         for side, op in OPS.items():
             want = g.set_of(compress_oracle(g, a, axis, side)).bits
             assert op(g, a, axis).bits == want
-            assert bulk.pack_rows(bulk.compress(g, mat, axis, side)) == [want]
+            assert bulk.pack_rows(bulk.compress(g, sets, axis, side)) == [want]
 
 
 @bounded
