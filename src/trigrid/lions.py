@@ -23,6 +23,7 @@ from .core import (
     _ids,
     _set_bits,
     as_int,
+    automorphism_id_permutations,
 )
 from .search import SearchTrace, TraceError, _reaches
 
@@ -42,26 +43,52 @@ def _mask(ids) -> int:
     return bits
 
 
-def _contaminate(grid: TriGrid, cont: int, moves, occupied: int) -> int:
-    """Contamination bits after a turn, on dense ids.
+def _fixups(moves, occupied: int, nbr) -> tuple[tuple[int, int], ...]:
+    """A turn's corrections to the unblocked spread, as (bit, keep) pairs.
 
     moves holds (from_id, to_id) pairs, one per lion; a lion that stays has
-    from_id == to_id.  cont spreads along every edge no lion traversed and
-    never rests on occupied.  Only an endpoint of a traversed edge loses a
-    route, so the rest of cont spreads at once and each contaminated
-    endpoint spreads alone, minus its partners across traversed edges.
+    from_id == to_id.  Each unoccupied end w of a traversed edge gets the
+    pair (1 << w, {w} | nbr(w) minus w's partners across traversed edges),
+    nbr(w) being w's neighbour bitmask; ends are in ascending id order, so
+    equal turns give equal tuples.
     """
     partners: dict[int, int] = {}
-    ends = 0
     for a, b in moves:
         if a != b:
             partners[a] = partners.get(a, 0) | 1 << b
             partners[b] = partners.get(b, 0) | 1 << a
-            ends |= 1 << a | 1 << b
-    out = cont | grid.spread_bits(cont & ~ends)
-    for u in _ids(cont & ends):
-        out |= grid.spread_bits(1 << u) & ~partners[u]
+    return tuple(
+        (1 << w, 1 << w | nbr(w) & ~p)
+        for w, p in sorted(partners.items())
+        if not occupied >> w & 1
+    )
+
+
+def _settle(cont: int, out: int, fixups, occupied: int) -> int:
+    """Contamination after a turn from out = cont | spread(cont): an end w
+    of a fix-up keeps its bit only if cont meets its keep mask."""
+    for bit, keep in fixups:
+        if not cont & keep:
+            out &= ~bit
     return out & ~occupied
+
+
+def _contaminate(grid: TriGrid, cont: int, moves, occupied: int) -> int:
+    """Contamination bits after a turn, on dense ids.
+
+    The rule: a vertex ends contaminated when no lion stands on it and it
+    was contaminated or has a contaminated neighbour across an edge no
+    lion traversed.  cont spreads once, along every edge; only an end w
+    of a traversed edge can have gained a bit across a blocked edge.  If
+    w was contaminated it stays so (w is in its keep mask); otherwise it
+    keeps the bit exactly when a neighbour across an unblocked edge, one
+    outside its partners, is contaminated.  When w has no contaminated
+    partner that is the same as the spread's own verdict, so the fix-up
+    changes nothing there.  Ends a lion stands on are cleared anyway and
+    get no fix-up.
+    """
+    fixups = _fixups(moves, occupied, lambda w: grid.spread_bits(1 << w))
+    return _settle(cont, cont | grid.spread_bits(cont), fixups, occupied)
 
 
 def _legal_moves(grid: TriGrid, positions: Sequence[Coord], turn) -> list[tuple[int, Coord]]:
@@ -286,42 +313,120 @@ def random_legal_walk(
     return LionTrace.from_moves(grid, start, turn_list)
 
 
-def _lions_can_clear(grid: TriGrid, lions: int) -> bool:
-    """Whether some placement of the lions has a clearing schedule.
+def _union_table(images: list[int]) -> list[int]:
+    """Entry b is the OR of images[j] over the bits j of b, built by
+    doubling as bulk.union_table, on Python ints."""
+    table = [0]
+    for image in images:
+        table += [t | image for t in table]
+    return table
+
+
+def _lion_solver(grid: TriGrid):
+    """can_clear(lions): whether some placement of that many lions has a
+    clearing schedule.
 
     One breadth-first search from every placement at once, over states
-    (positions as sorted ids, contamination bits); every simultaneous move
-    product, swaps and stacking included, is played through _contaminate.
+    (positions as sorted ids, contamination bits).  The per-grid tables
+    (neighbour masks, move options and the symmetry images) are built
+    here once, for every lion count; each call keeps its own per-placement
+    caches and frees them on return.
+
+    - Moves: every simultaneous move product, swaps and stacking
+      included.  Each sorted placement's products are tabulated on first
+      use, grouped by sorted destinations: (destinations, occupancy,
+      their symmetry images, the distinct _fixups tuples of the group).
+      A state spreads its contamination once, and each product settles
+      that one spread with _settle, the rule _contaminate plays.  A
+      product that leaves nothing contaminated wins.
+    - Symmetry: a triangle symmetry maps edges to edges, so it maps a
+      turn from (P, C) to a turn from its image, with the traversed edges,
+      occupancy and contamination all mapped alike.  A state can be
+      cleared exactly when each of its six images can, so the search
+      keeps one image per state: the least (contamination, positions)
+      pair.  Positions map through a per-placement image cache, and
+      contamination through two tables per symmetry, over the low 8 bits
+      and over the rest.
     """
     nv = grid.vertex_count
-    options = [[v] + _ids(grid.spread_bits(1 << v)) for v in range(nv)]  # stay first
-    starts = [
-        (pos, grid.full_mask & ~_mask(pos))
-        for pos in itertools.combinations_with_replacement(range(nv), lions)
+    nbr = [grid.spread_bits(1 << v) for v in range(nv)]
+    options = [[v] + _ids(nbr[v]) for v in range(nv)]  # stay first
+    perms = automorphism_id_permutations(grid)[1:]
+    lo = min(8, nv)
+    cont_tabs = [
+        (_union_table([1 << p for p in perm[:lo]]), _union_table([1 << p for p in perm[lo:]]))
+        for perm in perms
     ]
+    lo_mask = (1 << lo) - 1
 
-    def expand(state):
-        pos, cont = state
-        succ = []
-        for dests in itertools.product(*(options[p] for p in pos)):
-            new = _contaminate(grid, cont, zip(pos, dests), _mask(dests))
-            if not new:
-                return None
-            succ.append((tuple(sorted(dests)), new))
-        return succ
+    def can_clear(lions: int) -> bool:
+        images: dict[tuple, list[tuple]] = {}
+        products: dict[tuple, list] = {}
+        pool: dict[tuple, tuple] = {}  # equal fix-up tuples shared across placements
 
-    return _reaches(starts, expand)
+        def images_of(pos):
+            out = images.get(pos)
+            if out is None:
+                out = images[pos] = [tuple(sorted([perm[p] for p in pos])) for perm in perms]
+            return out
+
+        def products_of(pos):
+            out = products.get(pos)
+            if out is None:
+                groups: dict[tuple, set] = {}
+                for dests in itertools.product(*(options[p] for p in pos)):
+                    fix = _fixups(zip(pos, dests), _mask(dests), nbr.__getitem__)
+                    groups.setdefault(tuple(sorted(dests)), set()).add(pool.setdefault(fix, fix))
+                out = products[pos] = [
+                    (d, _mask(d), images_of(d), tuple(fixes)) for d, fixes in groups.items()
+                ]
+            return out
+
+        def canonical(pos, cont, pos_images):
+            best_cont, best_pos = cont, pos
+            for img, (tab_lo, tab_hi) in zip(pos_images, cont_tabs):
+                c = tab_lo[cont & lo_mask] | tab_hi[cont >> lo]
+                if c < best_cont or (c == best_cont and img < best_pos):
+                    best_cont, best_pos = c, img
+            return best_pos, best_cont
+
+        def expand(state):
+            pos, cont = state
+            out = cont | grid.spread_bits(cont)
+            succ = {}
+            for dests, occ, dest_images, fixes in products_of(pos):
+                for fix in fixes:
+                    new = _settle(cont, out, fix, occ)
+                    if not new:
+                        return None
+                    succ[dests, new] = dest_images
+            return [canonical(p, c, imgs) for (p, c), imgs in succ.items()]
+
+        starts = [
+            canonical(pos, grid.full_mask & ~_mask(pos), images_of(pos))
+            for pos in itertools.combinations_with_replacement(range(nv), lions)
+        ]
+        return _reaches(starts, expand)
+
+    return can_clear
+
+
+def _lions_can_clear(grid: TriGrid, lions: int) -> bool:
+    """Whether some placement of the lions clears T_n: one can_clear call."""
+    return _lion_solver(grid)(lions)
 
 
 def exact_lion_number(grid: TriGrid, max_l: int) -> int | None:
     """Least lion count with a clearing schedule, or None past max_l (n <= 2).
 
     For each count, breadth-first search from every initial placement over
-    (positions up to permutation, contamination) states; all simultaneous
-    move combinations, including swaps and stacking, are explored.
+    (sorted positions, contamination) states, one per orbit of the six
+    triangle symmetries; all simultaneous move combinations, including
+    swaps and stacking, are explored.  The per-grid tables are built once.
     """
     as_int(grid.n, "exact lion solving order", hi=EXACT_ORDER_LIMIT)
+    can_clear = _lion_solver(grid)
     for lions in range(1, as_int(max_l, "max_l", 1) + 1):
-        if _lions_can_clear(grid, lions):
+        if can_clear(lions):
             return lions
     return None

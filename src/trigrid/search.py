@@ -218,15 +218,16 @@ def three_stage_strategy(grid: TriGrid) -> SearchTrace:
         r_next = _row_window(grid, q - j, 0, q - 1)
         emit(window | r_j | r_next)
 
+    offs = grid._row_offset
     for col in range(q, n):
-        size = n - col + 1
         # Mirror of a row phase: shrink down the column while searching a
-        # growing top prefix of the next column.
-        for j in range(1, size):
-            emit(
-                _col_window(grid, col, 0, size - j)
-                | _col_window(grid, col + 1, size - 1 - j, size - 2)
-            )
+        # growing top prefix of the next column, one bit each per turn.
+        here = _col_window(grid, col, 0, n - col)
+        nxt = 0
+        for row in range(n - col, 0, -1):
+            nxt |= 1 << (offs[row - 1] + col + 1)
+            emit(here | nxt)
+            here ^= 1 << (offs[row] + col)
     return SearchTrace.from_searches(grid, k, searches)
 
 
@@ -268,20 +269,20 @@ def _search_sets(nv: int, m: int) -> np.ndarray:
     return tables[m]
 
 
-def _clearable_with_budget(grid: TriGrid, m: int) -> bool:
-    """Reachability of the empty dirty set under per-turn budget m.
+def _budget_solver(grid: TriGrid):
+    """clearable(m): reachability of the empty dirty set under per-turn
+    budget m.
 
     Forward BFS over dirty states from full.  Only search sets S inside
     the dirty set matter, and enlarging S never hurts, so successors use
     exactly min(m, |dirty|) searched vertices.  States are deduplicated
     up to the 6 triangle symmetries; successors containing their parent
-    are dropped (the parent already dominates them).
+    are dropped (the parent already dominates them).  The spread and
+    symmetry tables are built here once, for every budget.
     """
     import numpy as np
 
     nv = grid.vertex_count
-    if m >= nv:
-        return True
     # Split-word tables over the low 8 bits and the rest, for the spread
     # and for the images under the five non-identity symmetries.
     lo = min(8, nv)
@@ -294,30 +295,42 @@ def _clearable_with_budget(grid: TriGrid, m: int) -> bool:
     perm_tabs = [
         split([1 << p for p in perm]) for perm in automorphism_id_permutations(grid)[1:]
     ]
-    combos = _search_sets(nv, m)
 
-    def expand(d):
-        cand = combos[(combos & d) == combos]
-        if cand.size == 0:  # fewer than m dirty vertices: search them all
-            return None
-        p = d & ~cand
-        succ = p | spread_lo[p & lo_mask] | spread_hi[p >> lo]
-        if (np.bitwise_count(succ) <= m).any():
-            return None  # small enough to finish next turn
-        succ = succ[(succ | d) != succ]
-        best = succ
-        for plo, phi in perm_tabs:
-            best = np.minimum(best, plo[succ & lo_mask] | phi[succ >> lo])
-        return np.unique(best).tolist()
+    def clearable(m: int) -> bool:
+        if m >= nv:
+            return True
+        combos = _search_sets(nv, m)
 
-    return _reaches([grid.full_mask], expand)
+        def expand(d):
+            cand = combos[(combos & d) == combos]
+            if cand.size == 0:  # fewer than m dirty vertices: search them all
+                return None
+            p = d & ~cand
+            succ = p | spread_lo[p & lo_mask] | spread_hi[p >> lo]
+            if (np.bitwise_count(succ) <= m).any():
+                return None  # small enough to finish next turn
+            succ = succ[(succ | d) != succ]
+            best = succ
+            for plo, phi in perm_tabs:
+                best = np.minimum(best, plo[succ & lo_mask] | phi[succ >> lo])
+            return np.unique(best).tolist()
+
+        return _reaches([grid.full_mask], expand)
+
+    return clearable
+
+
+def _clearable_with_budget(grid: TriGrid, m: int) -> bool:
+    """Whether budget m clears T_n: one clearable call."""
+    return _budget_solver(grid)(m)
 
 
 def exact_inspection_number(grid: TriGrid, max_m: int) -> int | None:
     """Least per-turn budget that clears T_n, or None past max_m (n <= 4)."""
     as_int(grid.n, "exact solving order", hi=EXACT_ORDER_LIMIT)
+    clearable = _budget_solver(grid)
     for m in range(1, as_int(max_m, "max_m", 1) + 1):
-        if _clearable_with_budget(grid, m):
+        if clearable(m):
             return m
     return None
 

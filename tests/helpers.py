@@ -37,8 +37,14 @@ def adjacency_oracle(grid: TriGrid) -> dict:
     return adj
 
 
+@lru_cache(maxsize=None)
+def _adjacency(n: int) -> dict:
+    """adjacency_oracle of T_n, built once per order."""
+    return {v: frozenset(us) for v, us in adjacency_oracle(TriGrid(n)).items()}
+
+
 def boundary_oracle(grid: TriGrid, members) -> set:
-    adj = adjacency_oracle(grid)
+    adj = _adjacency(grid.n)
     inside = {tuple(v) for v in members}
     out = set()
     for v in inside:
@@ -52,7 +58,7 @@ def neighborhood_oracle(grid: TriGrid, members) -> set:
 
 
 def interior_boundary_oracle(grid: TriGrid, members) -> set:
-    adj = adjacency_oracle(grid)
+    adj = _adjacency(grid.n)
     inside = {tuple(v) for v in members}
     return {v for v in inside if adj[v] - inside}
 
@@ -82,7 +88,12 @@ def all_subsets(grid: TriGrid):
 
 def simplicial_sort_oracle(grid: TriGrid) -> list[Coord]:
     """Sort all vertices with the ordering comparator directly."""
-    return sorted(grid.vertices(), key=lambda v: (v.v1 + v.v2, -v.v1))
+    return list(_simplicial_sort(grid.n))
+
+
+@lru_cache(maxsize=None)
+def _simplicial_sort(n: int) -> tuple[Coord, ...]:
+    return tuple(sorted(TriGrid(n).vertices(), key=lambda v: (v.v1 + v.v2, -v.v1)))
 
 
 def segment_oracle(grid: TriGrid, k: int, kind: str) -> set:
@@ -123,11 +134,6 @@ def search_clearable_oracle(grid: TriGrid, m: int) -> bool:
                     nxt.append(state)
         frontier = nxt
     return False
-
-
-@lru_cache(maxsize=None)
-def _adjacency(n: int) -> dict:
-    return {v: frozenset(us) for v, us in adjacency_oracle(TriGrid(n)).items()}
 
 
 def lion_turn_oracle(grid: TriGrid, pos, dests, cont) -> frozenset:

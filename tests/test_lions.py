@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 
@@ -19,6 +20,7 @@ from trigrid import (
     random_legal_walk,
     verify_trace,
 )
+from trigrid.core import _ids, automorphism_id_permutations
 from trigrid.lions import coupled_searches
 
 from helpers import adjacency_oracle, lion_turn_oracle, lions_clearable_oracle
@@ -349,6 +351,86 @@ def test_solver_matches_oracle_one_order_past_the_cap():
         g = TriGrid(n)
         for lions in counts:
             assert _lions_can_clear(g, lions) == lions_clearable_oracle(g, lions)
+
+
+def test_lion_number_of_t3_is_three():
+    from trigrid.lions import _lions_can_clear
+
+    g = TriGrid(3)
+    assert not _lions_can_clear(g, 2)
+    assert _lions_can_clear(g, 3)
+
+
+def _solver_expand(monkeypatch, g, lions):
+    """Run the lion solver once; return its expand function and the states
+    it expanded, caught by wrapping _reaches."""
+    from trigrid import lions as lions_module
+
+    caught = {"states": []}
+    real = lions_module._reaches
+
+    def spy(starts, expand):
+        caught["expand"] = expand
+
+        def record(state):
+            caught["states"].append(state)
+            return expand(state)
+
+        return real(starts, record)
+
+    monkeypatch.setattr(lions_module, "_reaches", spy)
+    lions_module._lions_can_clear(g, lions)
+    return caught["expand"], caught["states"]
+
+
+def _image(perm, pos, cont):
+    return tuple(sorted(perm[p] for p in pos)), sum(1 << perm[i] for i in _ids(cont))
+
+
+def _canonical(g, pos, cont):
+    """The least (contamination, positions) image under the six symmetries."""
+    imgs = [_image(perm, pos, cont) for perm in automorphism_id_permutations(g)]
+    return min(imgs, key=lambda s: (s[1], s[0]))
+
+
+@pytest.mark.parametrize("n, lions", [(2, 3), (3, 2)])
+def test_solver_successors_match_turn_oracle(monkeypatch, n, lions):
+    g = TriGrid(n)
+    adj = adjacency_oracle(g)
+    expand, states = _solver_expand(monkeypatch, g, lions)
+    rng = random.Random(n * 10 + lions)
+    for pos, cont in rng.sample(states, min(40, len(states))):
+        coords = [tuple(g.coord(p)) for p in pos]
+        cont_coords = {tuple(g.coord(i)) for i in _ids(cont)}
+        expected = set()
+        for dests in itertools.product(*([p] + sorted(adj[p]) for p in coords)):
+            new = lion_turn_oracle(g, coords, dests, cont_coords)
+            bits = sum(1 << g.index(v) for v in new)
+            expected.add(_canonical(g, tuple(sorted(g.index(d) for d in dests)), bits))
+        succ = expand((pos, cont))
+        if any(c == 0 for _, c in expected):
+            assert succ is None
+        else:
+            assert set(succ) == expected
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_six_images_of_a_state_have_the_same_canonical_successors(monkeypatch, n):
+    g = TriGrid(n)
+    expand, _ = _solver_expand(monkeypatch, g, 2)
+    rng = random.Random(n)
+    nv = g.vertex_count
+    for _ in range(30):
+        pos = tuple(sorted(rng.randrange(nv) for _ in range(2)))
+        cont = rng.getrandbits(nv) & ~sum(1 << p for p in pos)
+        if not cont:
+            continue
+        results = {
+            frozenset(expand(_image(perm, pos, cont)) or ())
+            for perm in automorphism_id_permutations(g)
+        }
+        assert len(results) == 1
+        assert all(_canonical(g, *s) == s for s in results.pop())
 
 
 def test_lion_step_matches_turn_oracle_on_random_turns():
