@@ -206,6 +206,8 @@ class LionTrace:
         return cls(grid, start, turns, positions, contaminated, occupied)
 
     def is_winning(self) -> bool:
+        if not self.contaminated:
+            raise ValueError("trace has no replayed states; build it with LionTrace.from_moves")
         return not self.contaminated[-1]
 
     def to_json_obj(self) -> dict:
@@ -254,11 +256,11 @@ def coupled_searches(trace: LionTrace) -> list[VertexSet]:
     """Search schedule P(k-1) | P(k) (turn 0 searches the start positions).
 
     Reads the occupancy masks the replay kept; a trace whose occupied
-    list is not in step with its positions raises ValueError.
+    list is empty or not in step with its positions raises ValueError.
     """
     grid = trace.grid
     masks = trace.occupied
-    if len(masks) != len(trace.positions):
+    if not masks or len(masks) != len(trace.positions):
         raise ValueError(
             f"trace has {len(masks)} occupancy masks for {len(trace.positions)} states;"
             " build it with LionTrace.from_moves"

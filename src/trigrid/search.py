@@ -36,6 +36,17 @@ def step(grid: TriGrid, dirty: VertexSet, s: VertexSet) -> VertexSet:
     return VertexSet.from_bits(grid, rem | grid.spread_bits(rem))
 
 
+def _dirty_states(grid: TriGrid, searches):
+    """The replay: the dirty bitmask after each turn from full dirty, by
+    step's rule on raw ints, rem = dirty & ~S and then rem | N(rem)."""
+    spread = grid.spread_bits
+    dirty = grid.full_mask
+    for s in searches:
+        rem = dirty & ~_set_bits(grid, s)
+        dirty = rem | spread(rem)
+        yield dirty
+
+
 @dataclass
 class SearchTrace:
     """A search schedule plus the dirty states its replay produces."""
@@ -58,12 +69,7 @@ class SearchTrace:
         return trace
 
     def replay(self) -> list[VertexSet]:
-        dirty = self.grid.full_set()
-        states = []
-        for s in self.searches:
-            dirty = step(self.grid, dirty, s)
-            states.append(dirty)
-        return states
+        return [VertexSet.from_bits(self.grid, d) for d in _dirty_states(self.grid, self.searches)]
 
     def max_search_size(self) -> int:
         return max((len(s) for s in self.searches), default=0)
@@ -130,24 +136,34 @@ def _json_array(items: list[str], indent: str) -> str:
 
 
 def verify_trace(grid: TriGrid, trace: SearchTrace) -> bool:
-    """Replay from full dirty; malformed traces raise, honest ones report.
+    """Replay once from full dirty; malformed traces raise, honest ones report.
 
-    Raises TraceError (naming the first offending turn) for an oversized
-    search or a stored state that disagrees with the replay; returns
-    whether the final dirty set is empty.
+    Stored states are none (the searches replay on raw bitmasks) or one
+    per turn (each must equal step() of the one before, full dirty first).
+    A budget that is not an integer >= 0 raises ValueError; TraceError is
+    raised for a wrong state count and, naming the first offending turn,
+    for an oversized search or a stored state that disagrees with the
+    replay.  Returns whether the final dirty set is empty.
     """
     if trace.n != grid.n:
         raise TraceError("trace order does not match grid")
+    budget = as_int(trace.budget, "budget", 0)
+    stored = trace.dirty_after
+    if stored and len(stored) != len(trace.searches):
+        raise TraceError(f"{len(stored)} stored dirty states for {len(trace.searches)} turns")
     for turn, s in enumerate(trace.searches):
-        if len(s) > trace.budget:
-            raise TraceError(
-                f"turn {turn}: search of size {len(s)} exceeds budget {trace.budget}"
-            )
+        if len(s) > budget:
+            raise TraceError(f"turn {turn}: search of size {len(s)} exceeds budget {budget}")
+    if not stored:
+        dirty = grid.full_mask
+        for dirty in _dirty_states(grid, trace.searches):
+            pass
+        return not dirty
     dirty = grid.full_set()
-    for turn, s in enumerate(trace.searches):
-        dirty = step(grid, dirty, s)
-        if turn < len(trace.dirty_after) and trace.dirty_after[turn] != dirty:
+    for turn, (s, after) in enumerate(zip(trace.searches, stored)):
+        if step(grid, dirty, s) != after:
             raise TraceError(f"turn {turn}: stored dirty state disagrees with replay")
+        dirty = after
     return not dirty
 
 
@@ -169,7 +185,13 @@ def _col_window(grid: TriGrid, col: int, lo: int, hi: int) -> int:
 
 
 def three_stage_strategy(grid: TriGrid) -> SearchTrace:
-    """The budgeted clearing schedule with k = ceil(3n/4) + 2 per turn.
+    """The three-stage sweep as a replayed SearchTrace (see _three_stage_searches)."""
+    return SearchTrace.from_searches(grid, *_three_stage_searches(grid))
+
+
+def _three_stage_searches(grid: TriGrid) -> tuple[int, list[VertexSet]]:
+    """(budget, searches): the budgeted clearing schedule with
+    k = ceil(3n/4) + 2 per turn, not replayed.
 
     Stage 1 fully clears rows n down to n-k+3, one row per phase, sliding
     a window across the row and a guard prefix of the row below.  Stage 2
@@ -188,7 +210,7 @@ def three_stage_strategy(grid: TriGrid) -> SearchTrace:
 
     if k >= grid.vertex_count:
         emit(grid.full_mask)
-        return SearchTrace.from_searches(grid, k, searches)
+        return k, searches
 
     def row_phase(row):
         # Turn j searches the still-dirty suffix of the row and a growing
@@ -200,7 +222,7 @@ def three_stage_strategy(grid: TriGrid) -> SearchTrace:
         for row in range(n, 0, -1):
             row_phase(row)
         emit(_row_window(grid, 0, 0, n))
-        return SearchTrace.from_searches(grid, k, searches)
+        return k, searches
 
     q = n - k + 2  # first column stage 2 leaves for stage 3
     for row in range(n, q, -1):
@@ -228,7 +250,7 @@ def three_stage_strategy(grid: TriGrid) -> SearchTrace:
             nxt |= 1 << (offs[row - 1] + col + 1)
             emit(here | nxt)
             here ^= 1 << (offs[row] + col)
-    return SearchTrace.from_searches(grid, k, searches)
+    return k, searches
 
 
 def _reaches(starts, expand) -> bool:
@@ -349,7 +371,11 @@ class BoundsRow:
 
 def inspection_bounds_report(n_max: int, exact_up_to: int = 1) -> list[BoundsRow]:
     """Per-order bounds: certified lower bound, replayed upper bound,
-    and the exact value where the solver is allowed to run."""
+    and the exact value where the solver is allowed to run.
+
+    upper is the three-stage sweep's budget.  verify_trace replays its
+    schedule once per order, with no stored states: upper_verified says
+    every search fits the budget and the final dirty set is empty."""
     n_max = as_int(n_max, "n_max", 1, 50)
     exact_up_to = as_int(exact_up_to, "exact_up_to", 0, EXACT_ORDER_LIMIT)
     rows = []
@@ -358,16 +384,14 @@ def inspection_bounds_report(n_max: int, exact_up_to: int = 1) -> list[BoundsRow
         lower = max(
             m for m in range(0, n + 2) if lower_bound_certificate(grid, m)
         )
-        trace = three_stage_strategy(grid)
-        exact = (
-            exact_inspection_number(grid, trace.budget) if n <= exact_up_to else None
-        )
+        budget, searches = _three_stage_searches(grid)
+        exact = exact_inspection_number(grid, budget) if n <= exact_up_to else None
         rows.append(
             BoundsRow(
                 n=n,
                 lower=lower,
-                upper=trace.budget,
-                upper_verified=verify_trace(grid, trace),
+                upper=budget,
+                upper_verified=verify_trace(grid, SearchTrace(grid, budget, searches)),
                 exact=exact,
             )
         )

@@ -272,6 +272,13 @@ def test_coupling_refuses_a_trace_without_occupancy():
                 couple(trace)
 
 
+def test_trace_without_replayed_states_refuses_to_report():
+    bare = LionTrace(TriGrid(2), (Coord(0, 0),), [])
+    for report in (LionTrace.is_winning, claim_check, coupled_searches, couple_to_search):
+        with pytest.raises(ValueError, match="build it with LionTrace.from_moves"):
+            report(bare)
+
+
 def test_claim_base_case_equality():
     # before any move the two cleared sets coincide with the start positions
     g = TriGrid(3)

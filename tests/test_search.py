@@ -16,11 +16,13 @@ from trigrid import (
     exact_inspection_number,
     inspection_bounds_report,
     lower_bound_certificate,
+    search,
     step,
     sweep_budget,
     three_stage_strategy,
     verify_trace,
 )
+from trigrid.cli import EXIT_VERIFY, main
 
 from helpers import random_vertex_set, search_clearable_oracle
 
@@ -126,6 +128,34 @@ def test_verify_trace_detects_tampered_states():
     tr.dirty_after[1] = tr.dirty_after[1] ^ g.set_of([(0, 0)])
     with pytest.raises(TraceError, match="turn 1"):
         verify_trace(g, tr)
+    # A stored state that is not a VertexSet of this grid disagrees too.
+    honest = three_stage_strategy(g)
+    for bad in (honest.dirty_after[0].to_hex(), honest.dirty_after[0].bits,
+                VertexSet.from_bits(TriGrid(3), honest.dirty_after[0].bits)):
+        states = [bad] + honest.dirty_after[1:]
+        with pytest.raises(TraceError, match="^turn 0: stored dirty state disagrees"):
+            verify_trace(g, SearchTrace(g, honest.budget, honest.searches, states))
+
+
+def test_verify_trace_refuses_a_wrong_stored_state_count():
+    g = TriGrid(3)
+    tr = three_stage_strategy(g)
+    turns = len(tr.searches)
+    extra = SearchTrace(g, tr.budget, tr.searches, tr.dirty_after + [g.full_set()])
+    truncated = SearchTrace(g, tr.budget, tr.searches, tr.dirty_after[:2])
+    for trace, count in ((extra, turns + 1), (truncated, 2)):
+        with pytest.raises(TraceError, match=f"^{count} stored dirty states for {turns} turns$"):
+            verify_trace(g, trace)
+    assert verify_trace(g, SearchTrace(g, tr.budget, tr.searches))  # no stored states
+
+
+@pytest.mark.parametrize("budget", [2.5, True, -1])
+def test_verify_trace_refuses_a_budget_that_is_not_an_integer_at_least_0(budget):
+    g = TriGrid(3)
+    tr = three_stage_strategy(g)
+    for trace in (tr, SearchTrace(g, tr.budget, tr.searches)):
+        with pytest.raises(ValueError, match="^budget must be"):
+            verify_trace(g, SearchTrace(g, budget, trace.searches, trace.dirty_after))
 
 
 def test_trace_json_round_trip_and_checksums():
@@ -301,3 +331,44 @@ def test_bounds_report_rows():
         inspection_bounds_report(51)
     with pytest.raises(ValueError):
         inspection_bounds_report(2, exact_up_to=-5)
+
+
+def test_bounds_report_replays_each_sweep_once(monkeypatch):
+    calls = 0
+    spread = TriGrid.spread_bits
+
+    def counted(self, bits):
+        nonlocal calls
+        calls += 1
+        return spread(self, bits)
+
+    turns = sum(len(three_stage_strategy(TriGrid(n)).searches) for n in range(1, 9))
+    monkeypatch.setattr(TriGrid, "spread_bits", counted)
+    inspection_bounds_report(8, exact_up_to=0)
+    assert calls == turns
+
+
+# sha256 of json.dumps(rows, sort_keys=True) for inspection_bounds_report(24,
+# exact_up_to=4), as the report gave when it replayed each sweep twice.
+BOUNDS_24_SHA256 = "616f985923319f001c64be526dc4a047b29e46e95a082d53cc39d2f06665e336"
+
+
+def test_bounds_report_rows_pinned():
+    rows = [r.to_json_obj() for r in inspection_bounds_report(24, exact_up_to=4)]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == BOUNDS_24_SHA256
+
+
+def test_bounds_report_flags_a_sweep_that_does_not_clear(monkeypatch, capsys):
+    build = search._three_stage_searches
+
+    def short(grid):
+        budget, searches = build(grid)
+        return budget, searches[:-1]
+
+    monkeypatch.setattr(search, "_three_stage_searches", short)
+    # At n = 2, 3 the grid is clear before the final search of row 0.
+    rows = inspection_bounds_report(6, exact_up_to=0)
+    assert [r.upper_verified for r in rows] == [False, True, True, False, False, False]
+    assert main(["search", "bounds", "--n-max", "6", "--exact-up-to", "0"]) == EXIT_VERIFY
+    assert json.loads(capsys.readouterr().out)["ok"] is False
