@@ -167,6 +167,8 @@ def random_subsets(grid: TriGrid, count: int, rng: np.random.Generator) -> np.nd
 
     _check_order(grid)
     count = as_int(count, "count", 0)
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
     nv = grid.vertex_count
     words = rng.integers(0, 1 << 32, size=-(-count * nv // 4), dtype=np.uint32)
     cells = words.astype("<u4", copy=False).view(np.uint8)[: count * nv]

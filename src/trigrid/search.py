@@ -87,22 +87,27 @@ class SearchTrace:
 
         The text is written directly, because indent makes json use its
         pure-Python encoder.  Each vertex's [v1, v2] text is built once per
-        call and joined by dense id.
+        call, and one join runs over a flat list of those texts, the
+        separators and the checksum lines, so the call holds about one
+        copy of the output.
         """
         pair = [
-            f"      [\n        {v1},\n        {v2}\n      ]" for v1, v2 in self.grid.vertices()
+            f"\n      [\n        {v1},\n        {v2}\n      ]" for v1, v2 in self.grid.vertices()
         ]
-        searches = [
-            "    " + _json_array([pair[i] for i in _ids(s.bits)], "    ")
-            for s in self.searches
-        ]
-        dirty = [f'    "{d.to_hex()}"' for d in self.dirty_after]
-        return (
-            f'{{\n  "budget": {json.dumps(self.budget)},\n'
-            f'  "dirty_checksums": {_json_array(dirty, "  ")},\n'
-            f'  "n": {self.n},\n'
-            f'  "searches": {_json_array(searches, "  ")}\n}}\n'
-        )
+        out = ['{\n  "budget": ', json.dumps(self.budget), ',\n  "dirty_checksums": [']
+        for d in self.dirty_after:
+            out += (f'\n    "{d.to_hex()}"', ",")
+        _close_array(out, "  ")
+        out += (',\n  "n": ', str(self.n), ',\n  "searches": [')
+        for s in self.searches:
+            out.append("\n    [")
+            for i in _ids(s.bits):
+                out += (pair[i], ",")
+            _close_array(out, "    ")
+            out.append(",")
+        _close_array(out, "  ")
+        out.append("\n}\n")
+        return "".join(out)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SearchTrace":
@@ -119,20 +124,24 @@ class SearchTrace:
             raise TraceError(f"malformed search trace: {exc}") from exc
         trace = cls.from_searches(grid, budget, searches)
         if stored is not None:
-            replayed = [d.to_hex() for d in trace.dirty_after]
-            for turn, (a, b) in enumerate(zip(stored, replayed)):
-                if a != b:
+            for turn, (checksum, d) in enumerate(zip(stored, trace.dirty_after)):
+                if checksum != d.to_hex():
                     raise TraceError(f"dirty checksum mismatch at turn {turn}")
-            if len(stored) != len(replayed):
+            if len(stored) != len(trace.dirty_after):
                 raise TraceError("dirty checksum count does not match turn count")
         return trace
 
 
-def _json_array(items: list[str], indent: str) -> str:
-    """An indent=2 JSON array of already indented item texts, closed at indent."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+def _close_array(out: list[str], indent: str) -> None:
+    """Close the indent=2 JSON array being written to out, at indent.
+
+    Each item was appended followed by a lone "," fragment; the last
+    one becomes the closing line.  An array with no items is "[]".
+    """
+    if out[-1] == ",":
+        out[-1] = "\n" + indent + "]"
+    else:
+        out.append("]")
 
 
 def verify_trace(grid: TriGrid, trace: SearchTrace) -> bool:
@@ -143,8 +152,11 @@ def verify_trace(grid: TriGrid, trace: SearchTrace) -> bool:
     A budget that is not an integer >= 0 raises ValueError; TraceError is
     raised for a wrong state count and, naming the first offending turn,
     for an oversized search or a stored state that disagrees with the
-    replay.  Returns whether the final dirty set is empty.
+    replay, and for anything that is not a SearchTrace, before any other
+    check.  Returns whether the final dirty set is empty.
     """
+    if not isinstance(trace, SearchTrace):
+        raise TraceError(f"expected a SearchTrace, got {type(trace).__name__}")
     if trace.n != grid.n:
         raise TraceError("trace order does not match grid")
     budget = as_int(trace.budget, "budget", 0)

@@ -5,6 +5,7 @@ families, explicit set arithmetic, unpruned breadth-first search) so the
 library's optimized paths are checked against genuinely separate code.
 """
 
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
@@ -221,3 +222,15 @@ def set_words(grid: TriGrid, masks) -> "np.ndarray":
     width = -(-grid.vertex_count // 64)
     words = [[m >> 64 * q & (1 << 64) - 1 for q in range(width)] for m in masks]
     return np.array(words, dtype=np.uint64).reshape(len(words), width)
+
+
+def traced_peak(call):
+    """(peak, result) of call(): peak is the most memory, in bytes, that
+    tracemalloc saw allocated and not yet freed at once during the call,
+    numpy arrays included."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()

@@ -192,3 +192,9 @@ def test_random_subsets_refuses_bad_counts_before_drawing(bad):
     with pytest.raises(ValueError, match=f"^count must be (an integer|at least 0), got {bad!r}$"):
         bulk.random_subsets(TriGrid(3), bad, rng)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("bad", [5, None], ids=repr)
+def test_random_subsets_refuses_non_generators(bad):
+    with pytest.raises(ValueError, match=f"^rng must be a numpy.random.Generator, got {bad!r}$"):
+        bulk.random_subsets(TriGrid(3), 2, bad)

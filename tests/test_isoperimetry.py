@@ -26,6 +26,7 @@ from helpers import (
     boundary_oracle,
     interior_boundary_oracle,
     neighborhood_oracle,
+    traced_peak,
 )
 
 
@@ -157,6 +158,33 @@ def test_sampled_check_deterministic():
     assert set(a.to_json_obj()) == keys
 
 
+# sha256 of json.dumps(sampled_check(T_n, samples, seed).to_json_obj(),
+# sort_keys=True), as first drawn 65536 sets at a time.  The counts span
+# several blocks, stop inside one, and at (T_12, 5003) leave samples * V
+# short of a whole 32-bit output.
+SAMPLED_REPORT_SHA256 = {
+    (9, 100_000, 1): "aa07329910b4dad18e1ab938cbea732a44626599b547b87f25dc25d908f9d3fe",
+    (20, 100_001, 7): "7f4a4f61733ad369ced9d20f19ea0b2df384bc756692da5d946ef65dadb7c3e4",
+    (30, 70_001, 2): "7e5ae25eb61f74545ec907397c6198930b4a5836f11e1d7dafa1036efd131b29",
+    (12, 5_003, 3): "41eebda1b13157974c8a57f4a91036596a4a29952b9dbc3a5596db0958f187e5",
+}
+
+
+@pytest.mark.parametrize("n, samples, seed", sorted(SAMPLED_REPORT_SHA256))
+def test_sampled_reports_pinned(n, samples, seed):
+    rep = sampled_check(TriGrid(n), samples, seed)
+    text = json.dumps(rep.to_json_obj(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLED_REPORT_SHA256[n, samples, seed]
+
+
+def test_sampled_check_memory_is_one_block():
+    # 200,000 sets of T_30's 496 vertices are 95 MB (2^20 bytes) of draws;
+    # one block holds 7.8 MB of them.
+    peak, rep = traced_peak(lambda: sampled_check(TriGrid(30), 200_000, 1))
+    assert rep.checked == 200_000
+    assert peak < 16 << 20
+
+
 def test_sampled_check_zero_samples():
     # a check with nothing to check has no verdict, so it refuses to run
     for samples in (0, -5):
@@ -173,18 +201,21 @@ def test_sampled_check_t9_clean():
 def test_sampled_check_reports_every_violation(monkeypatch):
     # A packing minimum of V + 1 makes every sample a violation, so the
     # report lists the whole draw: T_10's 66 ids take two words per set.
+    # Blocks of 12 sets split the 50 samples across five draws.
     import numpy as np
 
     g = TriGrid(10)
     nv = g.vertex_count
     monkeypatch.setattr(isoperimetry, "packing_minimum", lambda grid, k: nv + 1)
-    rep = sampled_check(g, 50, seed=5)
     cells = np.random.default_rng(5).integers(0, 2, size=(50, nv), dtype=np.uint8)
     want = [VertexSet(g, [g.coord(int(j)) for j in np.flatnonzero(row)]) for row in cells]
-    assert [v["witness_hex"] for v in rep.violations] == [a.to_hex() for a in want]
-    assert [v["k"] for v in rep.violations] == [len(a) for a in want]
-    assert [v["boundary"] for v in rep.violations] == [len(boundary(g, a)) for a in want]
-    assert {v["packing_min"] for v in rep.violations} == {nv + 1}
+    for block in (isoperimetry._SAMPLE_BLOCK, 12):
+        monkeypatch.setattr(isoperimetry, "_SAMPLE_BLOCK", block)
+        rep = sampled_check(g, 50, seed=5)
+        assert [v["witness_hex"] for v in rep.violations] == [a.to_hex() for a in want]
+        assert [v["k"] for v in rep.violations] == [len(a) for a in want]
+        assert [v["boundary"] for v in rep.violations] == [len(boundary(g, a)) for a in want]
+        assert {v["packing_min"] for v in rep.violations} == {nv + 1}
 
 
 def test_sampled_check_order_limit():

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 
 import pytest
 
@@ -19,7 +18,7 @@ from trigrid import (
     triangular,
 )
 
-from helpers import boundary_oracle, segment_oracle, simplicial_sort_oracle
+from helpers import boundary_oracle, segment_oracle, simplicial_sort_oracle, traced_peak
 
 
 def test_rank_table_t2():
@@ -103,13 +102,7 @@ def test_small_segments_of_large_orders():
     # masks would take about |V|^2 / 16 bytes (130 MB at n = 300).  The
     # memory check runs first so such a table fails here, not at n = 2000.
     g = TriGrid(300)
-    tracemalloc.start()
-    try:
-        initial_segment(g, 3)
-        final_segment(g, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: (initial_segment(g, 3), final_segment(g, 3)))
     assert peak < 1_000_000
     g = TriGrid(2000)
     n = g.n
@@ -142,12 +135,7 @@ def test_packing_minimum_of_large_orders():
     g = TriGrid(1000)
     nv = g.vertex_count
     sizes = (0, 1, 999, 1000, 1001, 1002, triangular(1000), nv // 2, nv - 1001, nv - 1, nv)
-    tracemalloc.start()
-    try:
-        values = [packing_minimum(g, k) for k in sizes]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, values = traced_peak(lambda: [packing_minimum(g, k) for k in sizes])
     assert peak < 100_000
     assert values[0] == values[-1] == 0
     assert max(m for m in range(202) if lower_bound_certificate(TriGrid(200), m)) == 142

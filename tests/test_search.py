@@ -24,7 +24,7 @@ from trigrid import (
 )
 from trigrid.cli import EXIT_VERIFY, main
 
-from helpers import random_vertex_set, search_clearable_oracle
+from helpers import random_vertex_set, search_clearable_oracle, traced_peak
 
 
 def test_budget_formula():
@@ -115,6 +115,12 @@ def test_verify_trace_empty_is_false():
     assert verify_trace(g, tr) is False
 
 
+@pytest.mark.parametrize("bad", ["x", None, {"n": 2, "budget": 4, "searches": []}], ids=repr)
+def test_verify_trace_refuses_a_non_trace(bad):
+    with pytest.raises(TraceError, match=f"^expected a SearchTrace, got {type(bad).__name__}$"):
+        verify_trace(TriGrid(2), bad)
+
+
 def test_verify_trace_oversized_raises():
     g = TriGrid(2)
     tr = SearchTrace.from_searches(g, 2, [g.set_of([(0, 0), (1, 0), (0, 1)])])
@@ -171,6 +177,18 @@ def test_trace_json_round_trip_and_checksums():
         SearchTrace.from_json_obj({"n": 3, "budget": 5})
 
 
+def test_trace_json_checks_checksums_turn_by_turn_then_their_count():
+    obj = json.loads(three_stage_strategy(TriGrid(3)).to_json())
+    sums = obj["dirty_checksums"]
+    for stored in (sums[:-1], sums + [sums[-1]], []):
+        with pytest.raises(TraceError, match="^dirty checksum count does not match turn count$"):
+            SearchTrace.from_json_obj({**obj, "dirty_checksums": stored})
+    wrong = sums[:2] + ["00"] + sums[3:]
+    for stored in (wrong, wrong[:-1], wrong + ["00"]):
+        with pytest.raises(TraceError, match="^dirty checksum mismatch at turn 2$"):
+            SearchTrace.from_json_obj({**obj, "dirty_checksums": stored})
+
+
 def test_trace_json_detects_tampered_search_sets():
     # Turn 11 gains (4, 0) and clears the last dirty vertex a turn early;
     # turn 12 loses (3, 0), which stays dirty.  The kept checksums then no
@@ -192,6 +210,12 @@ def _dumped(trace):
 def test_trace_writer_matches_json_dumps_on_sweeps(n):
     trace = three_stage_strategy(TriGrid(n))
     assert trace.to_json() == _dumped(trace)
+
+
+def test_trace_writer_holds_about_one_copy_of_its_text():
+    trace = three_stage_strategy(TriGrid(60))
+    peak, text = traced_peak(trace.to_json)
+    assert peak < 2 * len(text)
 
 
 def test_trace_writer_matches_json_dumps_on_coupled_and_edge_cases():
