@@ -25,7 +25,7 @@ from .core import (
     as_int,
     automorphism_id_permutations,
 )
-from .search import SearchTrace, TraceError, _reaches
+from .search import SearchTrace, TraceError, _close_array, _reaches
 
 EXACT_ORDER_LIMIT = 2
 _STEPS = frozenset(NEIGHBOR_OFFSETS)
@@ -49,8 +49,9 @@ def _fixups(moves, occupied: int, nbr) -> tuple[tuple[int, int], ...]:
     moves holds (from_id, to_id) pairs, one per lion; a lion that stays has
     from_id == to_id.  Each unoccupied end w of a traversed edge gets the
     pair (1 << w, {w} | nbr(w) minus w's partners across traversed edges),
-    nbr(w) being w's neighbour bitmask; ends are in ascending id order, so
-    equal turns give equal tuples.
+    nbr(w) being w's neighbour bitmask (TriGrid._neighbor_bits, or a table
+    of it); ends are in ascending id order, so equal turns give equal
+    tuples.  The cost is O(moves), whatever the grid's size.
     """
     partners: dict[int, int] = {}
     for a, b in moves:
@@ -85,9 +86,10 @@ def _contaminate(grid: TriGrid, cont: int, moves, occupied: int) -> int:
     outside its partners, is contaminated.  When w has no contaminated
     partner that is the same as the spread's own verdict, so the fix-up
     changes nothing there.  Ends a lion stands on are cleared anyway and
-    get no fix-up.
+    get no fix-up.  So a turn costs one spread of cont plus an O(1)
+    neighbour mask, TriGrid._neighbor_bits, per fix-up end.
     """
-    fixups = _fixups(moves, occupied, lambda w: grid.spread_bits(1 << w))
+    fixups = _fixups(moves, occupied, grid._neighbor_bits)
     return _settle(cont, cont | grid.spread_bits(cont), fixups, occupied)
 
 
@@ -119,24 +121,42 @@ def _legal_moves(grid: TriGrid, positions: Sequence[Coord], turn) -> list[tuple[
 
 
 def _turn(
-    grid: TriGrid, positions: tuple[Coord, ...], ids: list[int], turn, cont: int
+    grid: TriGrid, positions: tuple[Coord, ...], ids: list[int], here: list[int],
+    occupied: int, turn, cont: int,
 ) -> tuple[tuple[Coord, ...], int, int]:
     """Validate and play one turn: the new positions, occupancy bits and
     contamination bits.
 
-    Past validation the turn runs on dense ids: ids (one per lion, in step
-    with positions) is updated in place and cont is a bitmask.
+    Past validation the turn runs on dense ids, in O(moves): ids (one per
+    lion, in step with positions) and here (the number of lions on each
+    vertex) are updated in place, and occupied and cont are bitmasks.
+    Occupancy changes only at the moves' ends: each destination is set,
+    and a vacated vertex is cleared only when no lion is left on it, so
+    stacked lions and swaps keep their vertices.
     """
     moves = _legal_moves(grid, positions, turn)
     moved = list(positions)
     traversed = []
     for idx, dest in moves:
         moved[idx] = dest
-        dest_id = _id(grid, dest)
-        traversed.append((ids[idx], dest_id))
-        ids[idx] = dest_id
-    occupied = _mask(ids)
+        a, b = ids[idx], _id(grid, dest)
+        traversed.append((a, b))
+        ids[idx] = b
+        here[a] -= 1
+        here[b] += 1
+    for a, b in traversed:
+        occupied |= 1 << b
+        if not here[a]:
+            occupied &= ~(1 << a)
     return tuple(moved), occupied, _contaminate(grid, cont, traversed, occupied)
+
+
+def _lions_on(grid: TriGrid, ids: list[int]) -> list[int]:
+    """The number of lions on each vertex, indexed by dense id."""
+    here = [0] * grid.vertex_count
+    for i in ids:
+        here[i] += 1
+    return here
 
 
 def lion_step(
@@ -156,7 +176,9 @@ def lion_step(
     positions = tuple(grid.check(v) for v in positions)
     ids = [_id(grid, v) for v in positions]
     cont = _set_bits(grid, contaminated)
-    new_positions, _, cont = _turn(grid, positions, ids, enumerate(dests), cont)
+    new_positions, _, cont = _turn(
+        grid, positions, ids, _lions_on(grid, ids), _mask(ids), enumerate(dests), cont
+    )
     return new_positions, VertexSet.from_bits(grid, cont)
 
 
@@ -194,12 +216,14 @@ class LionTrace:
     ) -> "LionTrace":
         start = tuple(grid.check(v) for v in start)
         ids = [_id(grid, v) for v in start]
-        occupied = [_mask(ids)]
-        cont = grid.full_mask & ~occupied[0]
+        here = _lions_on(grid, ids)
+        occ = _mask(ids)
+        occupied = [occ]
+        cont = grid.full_mask & ~occ
         positions = [start]
         contaminated = [VertexSet.from_bits(grid, cont)]
         for turn in turns:
-            pos, occ, cont = _turn(grid, positions[-1], ids, turn, cont)
+            pos, occ, cont = _turn(grid, positions[-1], ids, here, occ, turn, cont)
             positions.append(pos)
             occupied.append(occ)
             contaminated.append(VertexSet.from_bits(grid, cont))
@@ -222,7 +246,37 @@ class LionTrace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
+        """json.dumps(to_json_obj(), sort_keys=True, indent=2) plus a newline.
+
+        The text is written directly, as SearchTrace.to_json writes its
+        own, because indent makes json use its pure-Python encoder.  A
+        plain int is written as str gives it; any other lion index or
+        coordinate goes through json.dumps, so a value json refuses, such
+        as a numpy integer, raises the same TypeError.
+        """
+        def num(x) -> str:
+            return str(x) if type(x) is int else json.dumps(x)
+
+        out = ['{\n  "lions": ', str(self.lions), ',\n  "moves": [']
+        for turn in self.turns:
+            out.append("\n    [")
+            for idx, dest in turn:
+                out += ("\n      [\n        ", num(idx), ",\n        ")
+                if dest is None:
+                    out.append("null")
+                else:
+                    d1, d2 = num(dest[0]), num(dest[1])
+                    out.append(f"[\n          {d1},\n          {d2}\n        ]")
+                out += ("\n      ]", ",")
+            _close_array(out, "    ")
+            out.append(",")
+        _close_array(out, "  ")
+        out += (',\n  "n": ', str(self.n), ',\n  "start": [')
+        for v in self.start:
+            out += (f"\n    [\n      {num(v.v1)},\n      {num(v.v2)}\n    ]", ",")
+        _close_array(out, "  ")
+        out.append("\n}\n")
+        return "".join(out)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LionTrace":
@@ -302,12 +356,15 @@ def random_legal_walk(
     lions, turns = as_int(lions, "lions", 0), as_int(turns, "turns", 0)
     start = [grid.coord(rng.randrange(grid.vertex_count)) for _ in range(lions)]
     positions = list(start)
+    options: dict[Coord, list] = {}  # stay first, then the neighbours
     turn_list: list[Turn] = []
     for _ in range(turns):
         turn: Turn = []
         for i, p in enumerate(positions):
-            options = [None] + grid.neighbors(p)
-            dest = options[rng.randrange(len(options))]
+            opts = options.get(p)
+            if opts is None:
+                opts = options[p] = [None] + grid.neighbors(p)
+            dest = opts[rng.randrange(len(opts))]
             if dest is not None:
                 turn.append((i, dest))
                 positions[i] = dest
@@ -330,9 +387,9 @@ def _lion_solver(grid: TriGrid):
 
     One breadth-first search from every placement at once, over states
     (positions as sorted ids, contamination bits).  The per-grid tables
-    (neighbour masks, move options and the symmetry images) are built
-    here once, for every lion count; each call keeps its own per-placement
-    caches and frees them on return.
+    (neighbour masks, one TriGrid._neighbor_bits per vertex, move options
+    and the symmetry images) are built here once, for every lion count;
+    each call keeps its own per-placement caches and frees them on return.
 
     - Moves: every simultaneous move product, swaps and stacking
       included.  Each sorted placement's products are tabulated on first
@@ -351,7 +408,7 @@ def _lion_solver(grid: TriGrid):
       and over the rest.
     """
     nv = grid.vertex_count
-    nbr = [grid.spread_bits(1 << v) for v in range(nv)]
+    nbr = [grid._neighbor_bits(v) for v in range(nv)]
     options = [[v] + _ids(nbr[v]) for v in range(nv)]  # stay first
     perms = automorphism_id_permutations(grid)[1:]
     lo = min(8, nv)

@@ -210,8 +210,8 @@ def _three_stage_searches(grid: TriGrid) -> tuple[int, list[VertexSet]]:
     clears columns 0..n-k+1 with an L-shaped window plus two row prefixes
     per turn.  Stage 3 clears the remaining columns left to right, the
     mirror of stage 1.  Small orders collapse: when k >= n+2 row sweeps
-    alone reach row 1 and one full search of row 0 finishes; when
-    k >= |V| a single search clears.
+    alone clear the grid, since the last turn of row 1's phase searches
+    all of row 0; when k >= |V| a single search clears.
     """
     n = grid.n
     k = sweep_budget(n)
@@ -233,7 +233,6 @@ def _three_stage_searches(grid: TriGrid) -> tuple[int, list[VertexSet]]:
     if k >= n + 2:
         for row in range(n, 0, -1):
             row_phase(row)
-        emit(_row_window(grid, 0, 0, n))
         return k, searches
 
     q = n - k + 2  # first column stage 2 leaves for stage 3
@@ -318,14 +317,15 @@ def _budget_solver(grid: TriGrid):
 
     nv = grid.vertex_count
     # Split-word tables over the low 8 bits and the rest, for the spread
-    # and for the images under the five non-identity symmetries.
+    # (each vertex's neighbour mask) and for the images under the five
+    # non-identity symmetries.
     lo = min(8, nv)
     lo_mask = (1 << lo) - 1
 
     def split(images):
         return bulk.union_table(images[:lo]), bulk.union_table(images[lo:])
 
-    spread_lo, spread_hi = split([grid.spread_bits(1 << i) for i in range(nv)])
+    spread_lo, spread_hi = split([grid._neighbor_bits(i) for i in range(nv)])
     perm_tabs = [
         split([1 << p for p in perm]) for perm in automorphism_id_permutations(grid)[1:]
     ]

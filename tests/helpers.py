@@ -5,6 +5,7 @@ families, explicit set arithmetic, unpruned breadth-first search) so the
 library's optimized paths are checked against genuinely separate code.
 """
 
+import json
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
@@ -187,6 +188,11 @@ def lions_clearable_oracle(grid: TriGrid, lions: int) -> bool:
                         nxt.append((dests, new))
             frontier = nxt
     return False
+
+
+def lion_trace_json_oracle(trace) -> str:
+    """A lion trace's JSON text through json's own indent encoder."""
+    return json.dumps(trace.to_json_obj(), sort_keys=True, indent=2) + "\n"
 
 
 def spread_oracle(grid: TriGrid, bits: int) -> int:

@@ -333,6 +333,21 @@ def test_spread_matches_row_oracle(orders):
             assert g.spread_bits(bits) == spread_oracle(g, bits), (n, bits)
 
 
+@pytest.mark.parametrize("n", [*range(1, 13), 60])
+def test_neighbor_bits_is_the_spread_of_one_vertex(n):
+    g = TriGrid(n)
+    for i in range(g.vertex_count):
+        assert g._neighbor_bits(i) == g.spread_bits(1 << i), (n, i)
+    assert g._neighbor_bits(np.int64(0)) == g.spread_bits(1)
+
+
+@pytest.mark.parametrize("bad", [-1, 10, 1.0, True, "1"], ids=repr)
+def test_neighbor_bits_refuses_what_as_int_refuses(bad):
+    g = TriGrid(3)
+    with pytest.raises(ValueError, match="^dense id must be"):
+        g._neighbor_bits(bad)
+
+
 def test_boundary_disjoint_and_neighborhood_union():
     rng = random.Random(5)
     g = TriGrid(6)

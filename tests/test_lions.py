@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from trigrid import (
@@ -23,7 +24,12 @@ from trigrid import (
 from trigrid.core import _ids, automorphism_id_permutations
 from trigrid.lions import coupled_searches
 
-from helpers import adjacency_oracle, lion_turn_oracle, lions_clearable_oracle
+from helpers import (
+    adjacency_oracle,
+    lion_trace_json_oracle,
+    lion_turn_oracle,
+    lions_clearable_oracle,
+)
 
 # Digests of the column sweep as first replayed from coordinates; the
 # id-level replay must reproduce it bit for bit.
@@ -252,6 +258,16 @@ def test_occupied_is_the_replayed_position_mask():
     for _ in range(200):
         g = TriGrid(rng.randrange(1, 6))
         traces.append(random_legal_walk(g, rng.randrange(1, 6), rng.randrange(0, 12), rng))
+    # Swaps: two lions trade vertices, once alone and once with a third
+    # lion stacked on one of them, which then stays and moves on.
+    g = TriGrid(2)
+    swap = LionTrace.from_moves(g, [(0, 0), (1, 0)], [[(0, (1, 0)), (1, (0, 0))]])
+    stacked_swap = LionTrace.from_moves(
+        g, [(0, 0), (1, 0), (1, 0)], [[(0, (1, 0)), (1, (0, 0))], [(2, (0, 1))], [(0, (1, 1))]]
+    )
+    assert swap.occupied == [0b11, 0b11]
+    assert stacked_swap.occupied == [0b11, 0b11, 0b1011, 0b11001]
+    traces += [swap, stacked_swap]
     stacked = 0
     for tr in traces:
         assert len(tr.occupied) == len(tr.positions)
@@ -286,6 +302,61 @@ def test_claim_base_case_equality():
     searches0 = g.set_of(tr.positions[0])
     post = g.full_set() - searches0
     assert post == tr.contaminated[0]
+
+
+def test_lion_trace_writer_matches_json_dumps():
+    rng = random.Random(61)
+    walks = []
+    for _ in range(200):
+        n = rng.randrange(1, 7)
+        walks.append(random_legal_walk(TriGrid(n), rng.randrange(0, n + 3), rng.randrange(0, 14), rng))
+    g = TriGrid(2)
+    traces = [
+        *(column_sweep_strategy(TriGrid(n)) for n in range(1, 13)),
+        *walks,
+        LionTrace.from_moves(g, [(0, 0), (0, 1)], [[(1, None), (0, (1, 0))]]),  # a None destination
+        LionTrace.from_moves(g, [(0, 0)], [[], [(0, Coord(0, 1))], []]),  # empty turns
+        LionTrace.from_moves(g, [(0, 0), (2, 0)], []),  # no turns
+        LionTrace.from_moves(g, [], []),  # no lions
+        LionTrace.from_moves(g, [], [[], []]),  # no lions, empty turns
+        LionTrace.from_json_obj(json.loads(column_sweep_strategy(TriGrid(3)).to_json())),
+    ]
+    for trace in traces:
+        assert trace.to_json() == lion_trace_json_oracle(trace)
+
+
+@pytest.mark.parametrize(
+    "turn",
+    [[(np.int64(0), (1, 0))], [(0, (np.int64(1), 0))], [(0, (1, np.int32(0)))]],
+    ids=["lion index", "v1", "v2"],
+)
+def test_lion_trace_writer_raises_what_json_dumps_raises(turn):
+    trace = LionTrace.from_moves(TriGrid(2), [(0, 0)], [turn])
+    with pytest.raises(TypeError) as expected:
+        lion_trace_json_oracle(trace)
+    with pytest.raises(TypeError) as written:
+        trace.to_json()
+    assert str(written.value) == str(expected.value)
+
+
+# Digest of 300 seeded random walks (every state's positions and
+# contamination hex), taken before the walk kept each vertex's options
+# per call, plus the generator's next draw: the walk consumes the
+# generator exactly as before.
+RANDOM_WALKS_SHA256 = "179035a8d99a55f1a43d9c580c100946bb5912419af4beba9074776001c6c947"
+RANDOM_WALKS_NEXT_DRAW = 0.7670898850106753
+
+
+def test_random_legal_walk_pinned():
+    rng = random.Random(47)
+    h = hashlib.sha256()
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        tr = random_legal_walk(TriGrid(n), rng.randrange(1, n + 3), rng.randrange(0, 14), rng)
+        for pos, cont in zip(tr.positions, tr.contaminated):
+            h.update(f"{n} {[list(p) for p in pos]} {cont.to_hex()}\n".encode())
+    assert h.hexdigest() == RANDOM_WALKS_SHA256
+    assert rng.random() == RANDOM_WALKS_NEXT_DRAW
 
 
 def test_lion_trace_json_round_trip():

@@ -89,19 +89,37 @@ def test_three_stage_stage2_frame_t5():
     }
 
 
-# Digests of the sweep as first built from coordinate lists; the mask
-# construction must reproduce it bit for bit.  Orders 1..12 cover the
-# k >= |V| and k >= n + 2 collapses.
-SWEEP_SEARCHES_SHA256 = "24a2de7deedb716771cffac6981fa9cabe5ce04d2724e07d9a9702f5b4bbfb06"
+# Digests of the sweep's searches.  Orders 1..12 cover the k >= |V|
+# (n = 1) and k >= n + 2 (n = 2, 3) collapses.  SWEEP_SEARCHES_SHA256 was
+# taken when the collapse stopped searching row 0 after the grid is clear;
+# SWEEP_SEARCHES_FROM_4_SHA256, over the orders that collapse does not
+# reach, was taken before, from the schedule first built from coordinate
+# lists, so those orders are unchanged bit for bit.
+SWEEP_SEARCHES_SHA256 = "060050512750206369c8116d3023c0d18402f400858b27c8eb16d7e898e9f547"
+SWEEP_SEARCHES_FROM_4_SHA256 = "e3b83cdebd5a8c147a4900bdbd25c6bb28dfe88a32fba4fbfbd6df6da819451b"
 SWEEP_T15_JSON_SHA256 = "e6caaad014ef2719ffa517f2b7da835c660ef5fb155b0190501fa6f2b3fe608a"
 
 
-def test_three_stage_searches_pinned():
+def _searches_digest(orders):
     h = hashlib.sha256()
-    for n in (*range(1, 13), 13, 29, 45, 60):
+    for n in orders:
         for s in three_stage_strategy(TriGrid(n)).searches:
             h.update(f"{n} {s.to_hex()}\n".encode())
-    assert h.hexdigest() == SWEEP_SEARCHES_SHA256
+    return h.hexdigest()
+
+
+def test_three_stage_searches_pinned():
+    assert _searches_digest((*range(1, 13), 13, 29, 45, 60)) == SWEEP_SEARCHES_SHA256
+    assert _searches_digest((*range(4, 13), 13, 29, 45, 60)) == SWEEP_SEARCHES_FROM_4_SHA256
+
+
+def test_three_stage_never_searches_a_clear_grid():
+    for n in range(1, 31):
+        dirty = [d.bits for d in three_stage_strategy(TriGrid(n)).dirty_after]
+        assert all(dirty[:-1]) and not dirty[-1], n
+    # The k >= n + 2 collapse: one turn per row-phase step, the last one clearing.
+    assert [len(d) for d in three_stage_strategy(TriGrid(2)).dirty_after] == [5, 3, 0]
+    assert [len(d) for d in three_stage_strategy(TriGrid(3)).dirty_after] == [9, 8, 7, 5, 3, 0]
 
 
 def test_three_stage_trace_json_bytes_pinned():
@@ -391,8 +409,8 @@ def test_bounds_report_flags_a_sweep_that_does_not_clear(monkeypatch, capsys):
         return budget, searches[:-1]
 
     monkeypatch.setattr(search, "_three_stage_searches", short)
-    # At n = 2, 3 the grid is clear before the final search of row 0.
+    # The sweep's last search is needed at every order.
     rows = inspection_bounds_report(6, exact_up_to=0)
-    assert [r.upper_verified for r in rows] == [False, True, True, False, False, False]
+    assert [r.upper_verified for r in rows] == [False] * 6
     assert main(["search", "bounds", "--n-max", "6", "--exact-up-to", "0"]) == EXIT_VERIFY
     assert json.loads(capsys.readouterr().out)["ok"] is False
