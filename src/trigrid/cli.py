@@ -1,9 +1,11 @@
-"""Command-line entry point.
+"""Command-line entry point: each command is one COMMANDS entry, and
+build_parser builds the whole argparse tree from that table.
 
 Exit codes: 0 success, 1 verification failure (an unverified table row, a
-trace that does not clear, a failed containment check), 2 usage or input
-validation errors, 3 I/O errors.  JSON reports have sorted keys and are
-deterministic given the configuration, except for the duration field.
+lion trace that does not clear, which lions couple still couples, a failed
+containment check), 2 usage or input validation errors, 3 I/O errors.  JSON
+reports have sorted keys and are deterministic given the configuration,
+except for the duration field.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from . import __version__
 from .core import TriGrid, VertexSet, as_int, boundary, csv_text, render_ascii
@@ -24,11 +26,12 @@ from .lions import (
     LionTrace,
     claim_check,
     column_sweep_strategy,
-    couple_to_search,
+    coupled_searches,
     exact_lion_number,
 )
 from .ordering import final_segment, initial_segment
 from .search import (
+    SearchTrace,
     exact_inspection_number,
     inspection_bounds_report,
     three_stage_strategy,
@@ -140,7 +143,7 @@ def _lions_simulate(p: dict, config: RunConfig):
 
 def _lions_couple(p: dict, config: RunConfig):
     trace = LionTrace.from_json_obj(_load_json(p["trace"]))
-    search_trace = couple_to_search(trace)
+    search_trace = SearchTrace.from_searches(trace.grid, 2 * trace.lions, coupled_searches(trace))
     claim_holds = claim_check(trace)
     ok = claim_holds and verify_trace(trace.grid, search_trace)
     return {**search_trace.to_json_obj(), "claim_holds": claim_holds}, ok, None
@@ -158,35 +161,93 @@ def _render(p: dict, config: RunConfig):
     return {"n": grid.n, "ascii": text}, True, text
 
 
-# Command string -> (run, has_text).  run(params, config) returns (payload,
-# ok, text), text being the csv/ascii rendering; has_text(params) says
-# beforehand whether run gives one, so an unsupported --format is refused
-# before the command does any work.
+class Command(NamedTuple):
+    """One CLI command.  run(params, config) returns (payload, ok, text), text
+    being the csv/ascii rendering; has_text(params) says beforehand whether run
+    gives one, so an unsupported --format is refused before any work.  args
+    are (flag, add_argument keywords) pairs; a list of pairs is a mutually
+    exclusive group."""
+
+    run: Callable[[dict, RunConfig], tuple]
+    help: str
+    args: tuple
+    has_text: Callable[[dict], bool] = lambda p: False
+
+
+_INT = {"type": int, "required": True}
+_FLAG = {"action": "store_true"}
+
+# Command string -> Command; a two-word command sits under its group in GROUPS.
 COMMANDS = {
-    "verify-isoperimetry": (_verify_isoperimetry, lambda p: p["exhaustive"]),
-    "packing": (_packing, lambda p: False),
-    "compress": (_compress, lambda p: False),
-    "search simulate": (_search_simulate, lambda p: p["render"]),
-    "search exact": (_search_exact, lambda p: False),
-    "search bounds": (_search_bounds, lambda p: True),
-    "lions simulate": (_lions_simulate, lambda p: p["render"]),
-    "lions couple": (_lions_couple, lambda p: False),
-    "lions exact": (_lions_exact, lambda p: False),
-    "render": (_render, lambda p: True),
+    "verify-isoperimetry": Command(_verify_isoperimetry, "check the packing-minimum table", (
+        ("--n", _INT),
+        [("--exhaustive", _FLAG), ("--samples", {"type": int})],
+        ("--limit", {"type": int, "default": EXHAUSTIVE_DEFAULT_LIMIT,
+                     "help": "exhaustive order cap"}),
+    ), lambda p: p["exhaustive"]),
+    "packing": Command(_packing, "emit a segment packing and its boundary size", (
+        ("--n", _INT),
+        ("--k", _INT),
+        ("--kind", {"choices": ("initial", "final"), "required": True}),
+    )),
+    "compress": Command(_compress, "apply a section compression to a set file", (
+        ("--n", _INT),
+        ("--axis", {"type": int, "choices": (1, 2), "required": True}),
+        ("--side", {"choices": ("left", "right"), "required": True}),
+        ("--set", {"required": True, "help": "JSON file of [v1, v2] pairs"}),
+    )),
+    "search simulate": Command(_search_simulate, "emit and verify the three-stage sweep", (
+        ("--n", _INT),
+        ("--render", _FLAG),
+    ), lambda p: p["render"]),
+    "search exact": Command(_search_exact, "exact inspection number at tiny order", (
+        ("--n", _INT),
+        ("--max-m", _INT),
+    )),
+    "search bounds": Command(_search_bounds, "per-order bound table", (
+        ("--n-max", _INT),
+        ("--exact-up-to", {"type": int, "default": 1}),
+    ), lambda p: True),
+    "lions simulate": Command(_lions_simulate, "emit and verify the column sweep", (
+        ("--n", _INT),
+        ("--render", _FLAG),
+    ), lambda p: p["render"]),
+    "lions couple": Command(_lions_couple, "derive a search trace from a lion trace", (
+        ("--trace", {"required": True, "help": "lion trace JSON file"}),
+    )),
+    "lions exact": Command(_lions_exact, "exact lion number at tiny order", (
+        ("--n", _INT),
+        ("--max-l", _INT),
+    )),
+    "render": Command(_render, "ASCII rendering of the grid or a set file", (
+        ("--n", _INT),
+        ("--set", {"help": "JSON file of [v1, v2] pairs"}),
+        ("--bottom-up", {"action": "store_true", "help": "row 0 on the first line"}),
+    ), lambda p: True),
 }
+
+GROUPS = {"search": "zero-visibility search game", "lions": "lions-and-contamination game"}
+
+# The arguments every command takes after its own.
+COMMON = (
+    ("--format", {"choices": ("json", "csv", "ascii"), "default": "json"}),
+    ("--out", {"help": "write the report to this path instead of stdout"}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--threads", {"type": int, "default": 1, "help": "process workers, 1..CPU count"}),
+)
 
 
 def dispatch(config: RunConfig) -> Report:
     """Run one command; raises TraceError/ValueError for bad inputs."""
     if config.command not in COMMANDS:
         raise ValueError(f"unknown command {config.command!r}")
-    run, has_text = COMMANDS[config.command]
-    if config.fmt != "json" and not has_text(config.params):
+    command = COMMANDS[config.command]
+    if config.fmt != "json" and not command.has_text(config.params):
         raise ValueError(f"--format {config.fmt} is not available for {config.command}")
     as_int(config.threads, "--threads", 1, os.cpu_count() or 1)
     as_int(config.seed, "--seed", 0)
     t0 = time.perf_counter()
-    payload, ok, text = run(config.params, config)
+    payload, ok, text = command.run(config.params, config)
     return Report(
         command=config.command,
         config={
@@ -202,79 +263,24 @@ def dispatch(config: RunConfig) -> Report:
     )
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("json", "csv", "ascii"), default="json")
-    sub.add_argument("--out", help="write the report to this path instead of stdout")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1, help="process workers, 1..CPU count")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trigrid",
         description="Isoperimetric minima and pursuit-evasion games on triangular grids",
     )
     parser.add_argument("--version", action="version", version=f"trigrid {__version__}")
-    top = parser.add_subparsers(dest="command", required=True)
-
-    sp = top.add_parser("verify-isoperimetry", help="check the packing-minimum table")
-    sp.add_argument("--n", type=int, required=True)
-    mode = sp.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true")
-    mode.add_argument("--samples", type=int)
-    sp.add_argument(
-        "--limit", type=int, default=EXHAUSTIVE_DEFAULT_LIMIT, help="exhaustive order cap"
-    )
-    _add_common(sp)
-
-    sp = top.add_parser("packing", help="emit a segment packing and its boundary size")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--kind", choices=("initial", "final"), required=True)
-    _add_common(sp)
-
-    sp = top.add_parser("compress", help="apply a section compression to a set file")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--axis", type=int, choices=(1, 2), required=True)
-    sp.add_argument("--side", choices=("left", "right"), required=True)
-    sp.add_argument("--set", required=True, help="JSON file of [v1, v2] pairs")
-    _add_common(sp)
-
-    search = top.add_parser("search", help="zero-visibility search game")
-    ssub = search.add_subparsers(dest="subcommand", required=True)
-    sp = ssub.add_parser("simulate", help="emit and verify the three-stage sweep")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--render", action="store_true")
-    _add_common(sp)
-    sp = ssub.add_parser("exact", help="exact inspection number at tiny order")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--max-m", type=int, required=True)
-    _add_common(sp)
-    sp = ssub.add_parser("bounds", help="per-order bound table")
-    sp.add_argument("--n-max", type=int, required=True)
-    sp.add_argument("--exact-up-to", type=int, default=1)
-    _add_common(sp)
-
-    lions = top.add_parser("lions", help="lions-and-contamination game")
-    lsub = lions.add_subparsers(dest="subcommand", required=True)
-    sp = lsub.add_parser("simulate", help="emit and verify the column sweep")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--render", action="store_true")
-    _add_common(sp)
-    sp = lsub.add_parser("couple", help="derive a search trace from a lion trace")
-    sp.add_argument("--trace", required=True, help="lion trace JSON file")
-    _add_common(sp)
-    sp = lsub.add_parser("exact", help="exact lion number at tiny order")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--max-l", type=int, required=True)
-    _add_common(sp)
-
-    sp = top.add_parser("render", help="ASCII rendering of the grid or a set file")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--set", help="JSON file of [v1, v2] pairs")
-    sp.add_argument("--bottom-up", action="store_true", help="row 0 on the first line")
-    _add_common(sp)
-
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, command in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in subparsers:
+            group_parser = subparsers[""].add_parser(group, help=GROUPS[group])
+            subparsers[group] = group_parser.add_subparsers(dest="subcommand", required=True)
+        sp = subparsers[group].add_parser(leaf, help=command.help)
+        for arg in command.args + COMMON:
+            exclusive = isinstance(arg, list)
+            target = sp.add_mutually_exclusive_group() if exclusive else sp
+            for flag, kwargs in arg if exclusive else [arg]:
+                target.add_argument(flag, **kwargs)
     return parser
 
 
@@ -314,20 +320,12 @@ def _emit(report: Report, config: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _config_from_args(args)
+    config = _config_from_args(build_parser().parse_args(argv))
     try:
         report = dispatch(config)
-    except FileNotFoundError as exc:
+    except (ValueError, OSError) as exc:  # TraceError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:  # TraceError and JSONDecodeError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_IO
     return _emit(report, config)
 
 

@@ -105,7 +105,7 @@ def exhaustive_min_boundary(
     sampled_check instead.
     """
     workers = as_int(workers, "workers", 1)
-    cap = min(as_int(limit, "limit"), EXHAUSTIVE_HARD_LIMIT)
+    cap = min(as_int(limit, "limit", 1), EXHAUSTIVE_HARD_LIMIT)
     nv = grid.vertex_count
     what = f"exhaustive scan order (2^{nv} subsets; use sampled_check for larger orders)"
     n = as_int(grid.n, what, hi=cap)

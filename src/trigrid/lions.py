@@ -470,11 +470,6 @@ def _lion_solver(grid: TriGrid):
     return can_clear
 
 
-def _lions_can_clear(grid: TriGrid, lions: int) -> bool:
-    """Whether some placement of the lions clears T_n: one can_clear call."""
-    return _lion_solver(grid)(lions)
-
-
 def exact_lion_number(grid: TriGrid, max_l: int) -> int | None:
     """Least lion count with a clearing schedule, or None past max_l (n <= 2).
 

@@ -354,11 +354,6 @@ def _budget_solver(grid: TriGrid):
     return clearable
 
 
-def _clearable_with_budget(grid: TriGrid, m: int) -> bool:
-    """Whether budget m clears T_n: one clearable call."""
-    return _budget_solver(grid)(m)
-
-
 def exact_inspection_number(grid: TriGrid, max_m: int) -> int | None:
     """Least per-turn budget that clears T_n, or None past max_m (n <= 4)."""
     as_int(grid.n, "exact solving order", hi=EXACT_ORDER_LIMIT)

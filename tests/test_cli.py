@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 from pathlib import Path
 
@@ -37,6 +38,12 @@ README_COMMANDS = [
 
 def test_readme_commands_found():
     assert len(README_COMMANDS) == 11
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_has_a_readme_line(command):
+    words = command.split()
+    assert any(argv[: len(words)] == words for argv in README_COMMANDS)
 
 
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
@@ -275,9 +282,9 @@ def test_format_refused_before_the_command_runs(capsys, monkeypatch):
 )
 def test_command_table_says_which_runs_give_text(argv):
     config = _config_from_args(build_parser().parse_args(argv))
-    run_command, has_text = COMMANDS[config.command]
-    _, _, text = run_command(config.params, config)
-    assert (text is not None) == has_text(config.params)
+    command = COMMANDS[config.command]
+    _, _, text = command.run(config.params, config)
+    assert (text is not None) == command.has_text(config.params)
 
 
 def test_bounds_ascii_still_prints_csv(capsys):
@@ -315,6 +322,44 @@ def test_command_table_matches_parser():
     assert _leaf_commands(build_parser()) == set(COMMANDS)
 
 
+def _parsers(parser, prefix=()):
+    yield " ".join(prefix), parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, prefix + (name,))
+
+
+# sha256 of every --help text at 80 columns, keyed by command path ("" is the
+# top level).  The table-built parser must print exactly what the hand-written
+# one did; argparse's layout can change between Python versions, and these are
+# Python 3.11's.
+HELP_SHA256 = {
+    "": "83a0e684551977d0ec0de0227502aca034ad61be260f77eed65532a151eba30b",
+    "verify-isoperimetry": "84bc3448d84a80d1f782ce1c2aecc5e181598dd329a92d074ba74e41dbde21e1",
+    "packing": "24ad3ded745653dc02b351d5fc887b7109c40596acc52b78ad3802f5a46d86b1",
+    "compress": "7b60cd3d2d73c70ae78174666a0bf62990a797fbebb60344119b0fe088ee37f3",
+    "search": "87c7e2b5ee2accbc287a7412a9259d4bc946b91ef598eab7b16e01afb53e1651",
+    "search simulate": "744355fb0ce7306cf80d87481bab0ae3eda3b75e676f1b7c8d707cf43764c871",
+    "search exact": "388ce2175f7fe1929f8d3c46b3f4fa31bb01f6682bc7d9fe9121ad3f99598eb8",
+    "search bounds": "5c973019353b068818ed58d42af61b23587046e683307be7423e69bf3a249196",
+    "lions": "dafb64bca07fe3ef67bb8e0cd5efaad1caba795773ed02fb473c8b7a375c0244",
+    "lions simulate": "77de2cd61a98dfbe78091ddc6e3bb32062ed560bbe5eb477098e2325ab521a4e",
+    "lions couple": "0355acc3cd56dc8b26cfc8b614755bcab0f9b95db223433ec6f0932d4fca5088",
+    "lions exact": "94ad7e982e91913407aabb13cf2f2d955bec6954a307c7d702fbf16e93b8edca",
+    "render": "5a180f4c8a71d29966337f7692a2b66a3b420af901b3fa238b80f0fdad7a3567",
+}
+
+
+def test_help_texts_are_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digests = {
+        path: hashlib.sha256(parser.format_help().encode()).hexdigest()
+        for path, parser in _parsers(build_parser())
+    }
+    assert digests == HELP_SHA256
+
+
 # The column sweep of T_2 as a lion trace file: it clears, so it couples.
 T2_SWEEP = {
     "n": 2,
@@ -322,6 +367,23 @@ T2_SWEEP = {
     "start": [[0, 0], [0, 1], [0, 2]],
     "moves": [[[0, [1, 0]]], [[1, [1, 1]]], [[0, [2, 0]]]],
 }
+
+
+def test_lions_couple_of_a_losing_trace_is_verification_failure(tmp_path, capsys):
+    # One lion steps off (0, 0) and leaves the rest of T_2 contaminated.
+    losing = {"n": 2, "lions": 1, "start": [[0, 0]], "moves": [[[0, [1, 0]]]]}
+    reports = {}
+    for name, trace in (("losing", losing), ("winning", T2_SWEEP)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(trace))
+        code, out, err = run(capsys, "lions", "couple", "--trace", str(path))
+        assert err == ""
+        reports[name] = code, json.loads(out)
+    code, report = reports["losing"]
+    assert code == EXIT_VERIFY and report["ok"] is False
+    assert report["payload"]["budget"] == 2 and report["payload"]["claim_holds"] is True
+    assert set(report["payload"]) == set(reports["winning"][1]["payload"])
+    assert reports["winning"][0] == EXIT_OK
 
 
 @pytest.mark.parametrize(
@@ -364,6 +426,15 @@ def test_nothing_to_check_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert "at least 1" in err or "n_max must be in 1..50, got 0" in err
+
+
+@pytest.mark.parametrize("limit", ["-4", "0"])
+def test_limit_below_one_is_usage_error(capsys, limit):
+    code, out, err = run(
+        capsys, "verify-isoperimetry", "--n", "3", "--exhaustive", "--limit", limit
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: limit must be at least 1, got {limit}\n"
 
 
 def test_negative_exact_up_to_is_usage_error(capsys):

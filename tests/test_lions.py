@@ -423,20 +423,20 @@ def test_exact_lion_number_t2_matches_oracle():
 
 
 def test_solver_matches_oracle_one_order_past_the_cap():
-    from trigrid.lions import _lions_can_clear
+    from trigrid.lions import _lion_solver
 
     for n, counts in ((1, (1, 2)), (2, (1, 2, 3)), (3, (1, 2))):
         g = TriGrid(n)
         for lions in counts:
-            assert _lions_can_clear(g, lions) == lions_clearable_oracle(g, lions)
+            assert _lion_solver(g)(lions) == lions_clearable_oracle(g, lions)
 
 
 def test_lion_number_of_t3_is_three():
-    from trigrid.lions import _lions_can_clear
+    from trigrid.lions import _lion_solver
 
-    g = TriGrid(3)
-    assert not _lions_can_clear(g, 2)
-    assert _lions_can_clear(g, 3)
+    can_clear = _lion_solver(TriGrid(3))
+    assert not can_clear(2)
+    assert can_clear(3)
 
 
 def _solver_expand(monkeypatch, g, lions):
@@ -457,7 +457,7 @@ def _solver_expand(monkeypatch, g, lions):
         return real(starts, record)
 
     monkeypatch.setattr(lions_module, "_reaches", spy)
-    lions_module._lions_can_clear(g, lions)
+    lions_module._lion_solver(g)(lions)
     return caught["expand"], caught["states"]
 
 

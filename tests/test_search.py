@@ -273,17 +273,17 @@ def test_exact_solver_matches_unpruned_oracle():
     for n in (1, 2):
         g = TriGrid(n)
         for m in range(1, sweep_budget(n) + 1):
-            from trigrid.search import _clearable_with_budget
+            from trigrid.search import _budget_solver
 
-            assert _clearable_with_budget(g, m) == search_clearable_oracle(g, m)
+            assert _budget_solver(g)(m) == search_clearable_oracle(g, m)
 
 
 def test_exact_solver_matches_oracle_t3_t4():
-    from trigrid.search import _clearable_with_budget
+    from trigrid.search import _budget_solver
 
     for n, m in ((3, 3), (3, 4), (4, 4)):
         g = TriGrid(n)
-        assert _clearable_with_budget(g, m) == search_clearable_oracle(g, m)
+        assert _budget_solver(g)(m) == search_clearable_oracle(g, m)
 
 
 def test_search_sets_equal_itertools_combinations():
