@@ -2,11 +2,15 @@
 
 A batch of sets is a (count, W) uint64 array, W = ceil(V / 64): row i
 is set i's dense-id bitmask, 64 ids per word, low word first, so
-pack_rows gives back VertexSet.bits.  Each kernel cuts its rows, block
-by block, into one uint64 word per grid row (bit c of word r is vertex
-(c, r), cut from the row's run of dense ids), works on those words with
-shifts and np.bitwise_count, and joins them back when it returns sets.
-A grid row holds at most n + 1 vertices, so every kernel refuses n > 63.
+pack_rows gives back VertexSet.bits.  The kernels work block by block,
+with shifts and np.bitwise_count.  When the batch is one word wide
+(W = 1, so n <= 9), boundary_sizes and neighborhood_sizes hand each
+block's word column to TriGrid.spread_bits itself, whose row-shift
+network keeps every bit at a position <= V + n - 2 <= 62.  Wider
+batches, and compress at every width, cut their rows into one uint64
+word per grid row (bit c of word r is vertex (c, r), cut from the row's
+run of dense ids) and join them back when they return sets.  A grid row
+holds at most n + 1 vertices, so every kernel refuses n > 63.
 Each function imports numpy itself, so importing trigrid does not.
 These back the large exhaustive and randomized sweeps; the scalar
 operations in core/compress are the reference implementations they are
@@ -26,8 +30,8 @@ def _check_order(grid: TriGrid) -> None:
     as_int(grid.n, "batch kernel order (one grid row per 64-bit word)", hi=ORDER_LIMIT)
 
 
-def _blockwise(grid: TriGrid, sets: np.ndarray, kernel) -> np.ndarray:
-    """kernel(row words) over blocks of _BLOCK sets, results concatenated."""
+def _blockwise(grid: TriGrid, sets: np.ndarray, cut, kernel) -> np.ndarray:
+    """kernel(cut(grid, block)) over blocks of _BLOCK sets, results concatenated."""
     import numpy as np
 
     _check_order(grid)
@@ -43,7 +47,7 @@ def _blockwise(grid: TriGrid, sets: np.ndarray, kernel) -> np.ndarray:
         raise ValueError("sets have bits outside the grid")
     return np.concatenate(
         [
-            kernel(_row_words(grid, sets[s : s + _BLOCK]))
+            kernel(cut(grid, sets[s : s + _BLOCK]))
             for s in range(0, max(len(sets), 1), _BLOCK)
         ]
     )
@@ -188,26 +192,35 @@ def pack_rows(sets: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in sets]
 
 
-def boundary_sizes(grid: TriGrid, sets: np.ndarray) -> np.ndarray:
+def _sizes(grid: TriGrid, sets: np.ndarray, closed: bool) -> np.ndarray:
+    """Size of every set's spread, joined with the set (closed) or cut by it."""
     import numpy as np
 
+    if grid.vertex_count <= 64:
+        # One word per set: spread_bits runs its network on the (1, count)
+        # word row.  Its bits stay at positions <= V + n - 2 <= 62 (n <= 9)
+        # and its stage masks fit 63 bits, so no uint64 shift drops one.
+        cut, spread = lambda grid, block: block.T, grid.spread_bits
+    else:
+        cut, spread = _row_words, lambda words: _spread(grid, words)
+
     def kernel(words):
-        out = _spread(grid, words)
-        out &= ~words
+        out = spread(words)
+        if closed:
+            out |= words
+        else:
+            out &= ~words
         return np.bitwise_count(out).sum(axis=0, dtype=np.int64)
 
-    return _blockwise(grid, sets, kernel)
+    return _blockwise(grid, sets, cut, kernel)
+
+
+def boundary_sizes(grid: TriGrid, sets: np.ndarray) -> np.ndarray:
+    return _sizes(grid, sets, closed=False)
 
 
 def neighborhood_sizes(grid: TriGrid, sets: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    def kernel(words):
-        out = _spread(grid, words)
-        out |= words
-        return np.bitwise_count(out).sum(axis=0, dtype=np.int64)
-
-    return _blockwise(grid, sets, kernel)
+    return _sizes(grid, sets, closed=True)
 
 
 def compress(grid: TriGrid, sets: np.ndarray, axis: int, side: str) -> np.ndarray:
@@ -239,4 +252,4 @@ def compress(grid: TriGrid, sets: np.ndarray, axis: int, side: str) -> np.ndarra
             filled = _sort_columns(words[::-1] | ~masks[::-1])[::-1] & masks
         return _from_row_words(grid, filled)
 
-    return _blockwise(grid, sets, kernel)
+    return _blockwise(grid, sets, _row_words, kernel)

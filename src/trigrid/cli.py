@@ -91,6 +91,7 @@ def _load_json(path: str):
 
 def _verify_isoperimetry(p: dict, config: RunConfig):
     grid = TriGrid(p["n"])
+    as_int(p["limit"], "limit", 1)  # in both modes, though only the exhaustive scan reads it
     if p["exhaustive"]:
         table = exhaustive_min_boundary(grid, limit=p["limit"], workers=config.threads)
         return table.to_json_obj(), table.all_verified(), table.to_csv()

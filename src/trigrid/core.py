@@ -163,7 +163,7 @@ class TriGrid:
     def edge_count(self) -> int:
         return 3 * self.n * (self.n + 1) // 2
 
-    def spread_bits(self, bits: int) -> int:
+    def spread_bits(self, bits: int | np.ndarray) -> int | np.ndarray:
         """Union of the (strict) neighbor sets of all members of a bitmask.
 
         No per-row loop.  side, the set minus its last column, moves one
@@ -172,6 +172,13 @@ class TriGrid:
         and flat >> 1 together, so it covers the steps (0, +1) and
         (-1, +1) at once.  The down network lowers the whole set, and its
         output and that output one column right cover (0, -1) and (+1, -1).
+
+        bits is an int, or, on a grid that fits one word (V <= 64, so
+        n <= 9), a numpy uint64 array of bitmasks, spread element by
+        element through the same operators; bulk's size kernels call it
+        that way.  No intermediate bit lies above position V + n - 2 <= 62
+        and every stage mask fits 63 bits, so no uint64 shift drops one.
+        The argument is never modified.
         """
         stages = self._stages
         side = bits & self._not_last
@@ -184,7 +191,7 @@ class TriGrid:
         for shift, _, landed in reversed(stages):
             t = down & landed
             down = down ^ t | t << shift
-        down >>= self.n + 1
+        down = down >> self.n + 1
         return side << 1 | flat >> 1 | up | down | down << 1
 
     def _neighbor_bits(self, i: int) -> int:

@@ -28,10 +28,12 @@ def _sets(g, rng):
     return masks
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 5, 6, 9, 10, 13, 20, 30, 63])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 20, 30, 63])
 def test_sizes_and_compress_match_scalar(n):
-    # Rows of T_10 and beyond straddle 64-bit words of the dense ids;
-    # row 0 of T_63 fills a whole word.
+    # Up to T_9 a set is one word and the sizes come from spread_bits,
+    # whose network gains a stage at n = 2, 3, 5 and 9.  Rows of T_10 and
+    # beyond straddle 64-bit words of the dense ids; row 0 of T_63 fills
+    # a whole word.
     g = TriGrid(n)
     rows = _sets(g, np.random.default_rng(n))
     sets = set_words(g, rows)

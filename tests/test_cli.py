@@ -428,11 +428,18 @@ def test_nothing_to_check_is_usage_error(capsys, argv):
     assert "at least 1" in err or "n_max must be in 1..50, got 0" in err
 
 
-@pytest.mark.parametrize("limit", ["-4", "0"])
-def test_limit_below_one_is_usage_error(capsys, limit):
-    code, out, err = run(
-        capsys, "verify-isoperimetry", "--n", "3", "--exhaustive", "--limit", limit
-    )
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        pytest.param(["--n", "3", "--exhaustive"], "-4", id="-4"),
+        pytest.param(["--n", "3", "--exhaustive"], "0", id="0"),
+        # sampled mode never reads --limit, but a bad one is still refused
+        pytest.param(["--n", "7", "--samples", "5"], "-3", id="sampled--3"),
+        pytest.param(["--n", "7"], "0", id="default-sampled-0"),
+    ],
+)
+def test_limit_below_one_is_usage_error(capsys, argv, limit):
+    code, out, err = run(capsys, "verify-isoperimetry", *argv, "--limit", limit)
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: limit must be at least 1, got {limit}\n"
 

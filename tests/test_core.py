@@ -333,6 +333,23 @@ def test_spread_matches_row_oracle(orders):
             assert g.spread_bits(bits) == spread_oracle(g, bits), (n, bits)
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_spread_runs_on_uint64_arrays_of_one_word_sets(n):
+    # bulk's size kernels spread one-word batches this way
+    g = TriGrid(n)
+    if n <= 3:
+        cases = list(range(1 << g.vertex_count))
+    else:
+        singles = [1 << i for i in range(g.vertex_count)]
+        cases = [*_spread_cases(g, random.Random(n)), *singles]
+    words = np.array(cases, dtype=np.uint64)
+    spread = g.spread_bits(words)
+    assert spread.dtype == np.uint64 and spread.shape == words.shape
+    assert words.tolist() == cases
+    for bits, got in zip(cases, spread.tolist()):
+        assert got == g.spread_bits(bits) == spread_oracle(g, bits), (n, bits)
+
+
 @pytest.mark.parametrize("n", [*range(1, 13), 60])
 def test_neighbor_bits_is_the_spread_of_one_vertex(n):
     g = TriGrid(n)
