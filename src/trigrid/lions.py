@@ -25,7 +25,7 @@ from .core import (
     as_int,
     automorphism_id_permutations,
 )
-from .search import SearchTrace, TraceError, _close_array, _reaches
+from .search import SearchTrace, TraceError, _close_array, _least, _reaches
 
 EXACT_ORDER_LIMIT = 2
 _STEPS = frozenset(NEIGHBOR_OFFSETS)
@@ -403,20 +403,18 @@ def _lion_solver(grid: TriGrid):
       occupancy and contamination all mapped alike.  A state can be
       cleared exactly when each of its six images can, so the search
       keeps one image per state: the least (contamination, positions)
-      pair.  Positions map through a per-placement image cache, and
-      contamination through two tables per symmetry, over the low 8 bits
-      and over the rest.
+      pair.  Positions map through a per-placement image cache.  In the
+      packed table, entry i holds id i's five images nv bits apart, so a
+      lookup over the low 8 ids and one over the rest give all five
+      images of a contamination mask.
     """
     nv = grid.vertex_count
     nbr = [grid._neighbor_bits(v) for v in range(nv)]
     options = [[v] + _ids(nbr[v]) for v in range(nv)]  # stay first
     perms = automorphism_id_permutations(grid)[1:]
-    lo = min(8, nv)
-    cont_tabs = [
-        (_union_table([1 << p for p in perm[:lo]]), _union_table([1 << p for p in perm[lo:]]))
-        for perm in perms
-    ]
-    lo_mask = (1 << lo) - 1
+    packed = [sum(1 << perm[i] + k * nv for k, perm in enumerate(perms)) for i in range(nv)]
+    tab_lo, tab_hi = _union_table(packed[:8]), _union_table(packed[8:])
+    full = grid.full_mask
 
     def can_clear(lions: int) -> bool:
         images: dict[tuple, list[tuple]] = {}
@@ -443,8 +441,10 @@ def _lion_solver(grid: TriGrid):
 
         def canonical(pos, cont, pos_images):
             best_cont, best_pos = cont, pos
-            for img, (tab_lo, tab_hi) in zip(pos_images, cont_tabs):
-                c = tab_lo[cont & lo_mask] | tab_hi[cont >> lo]
+            rest = tab_lo[cont & 0xFF] | tab_hi[cont >> 8]  # image k at bit k * nv
+            for img in pos_images:
+                c = rest & full
+                rest >>= nv
                 if c < best_cont or (c == best_cont and img < best_pos):
                     best_cont, best_pos = c, img
             return best_pos, best_cont
@@ -479,8 +479,4 @@ def exact_lion_number(grid: TriGrid, max_l: int) -> int | None:
     swaps and stacking, are explored.  The per-grid tables are built once.
     """
     as_int(grid.n, "exact lion solving order", hi=EXACT_ORDER_LIMIT)
-    can_clear = _lion_solver(grid)
-    for lions in range(1, as_int(max_l, "max_l", 1) + 1):
-        if can_clear(lions):
-            return lions
-    return None
+    return _least(_lion_solver(grid), as_int(max_l, "max_l", 1))

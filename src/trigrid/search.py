@@ -286,6 +286,11 @@ def _reaches(starts, expand) -> bool:
     return False
 
 
+def _least(clears, top: int) -> int | None:
+    """Least k in 1..top with clears(k), or None."""
+    return next((k for k in range(1, top + 1) if clears(k)), None)
+
+
 def _search_sets(nv: int, m: int) -> np.ndarray:
     """Every m-subset of range(nv) as a uint64 bitmask, in no particular order.
 
@@ -357,11 +362,7 @@ def _budget_solver(grid: TriGrid):
 def exact_inspection_number(grid: TriGrid, max_m: int) -> int | None:
     """Least per-turn budget that clears T_n, or None past max_m (n <= 4)."""
     as_int(grid.n, "exact solving order", hi=EXACT_ORDER_LIMIT)
-    clearable = _budget_solver(grid)
-    for m in range(1, as_int(max_m, "max_m", 1) + 1):
-        if clearable(m):
-            return m
-    return None
+    return _least(_budget_solver(grid), as_int(max_m, "max_m", 1))
 
 
 @dataclass

@@ -471,7 +471,7 @@ def _canonical(g, pos, cont):
     return min(imgs, key=lambda s: (s[1], s[0]))
 
 
-@pytest.mark.parametrize("n, lions", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("n, lions", [(1, 2), (2, 3), (3, 2), (4, 2)])
 def test_solver_successors_match_turn_oracle(monkeypatch, n, lions):
     g = TriGrid(n)
     adj = adjacency_oracle(g)
