@@ -238,17 +238,14 @@ def compress(grid: TriGrid, sets: np.ndarray, axis: int, side: str) -> np.ndarra
     _check_side(side)
 
     def kernel(words):
-        if axis == 2:
-            counts = np.bitwise_count(words)
-            if side == "left":
-                filled = _low_bits(counts)
-            else:
-                length = np.arange(grid.n + 1, 0, -1, dtype=np.uint8)[:, None]
-                filled = _low_bits(length) ^ _low_bits(length - counts)
+        masks = _row_masks(grid)
+        if axis == 2 and side == "left":
+            filled = _low_bits(np.bitwise_count(words))
+        elif axis == 2:  # the scalar m ^ m >> c; a shift by 64 gives 0, so a full row works
+            filled = masks ^ masks >> np.bitwise_count(words)
         elif side == "left":
             filled = _sort_columns(words)
         else:
-            masks = _row_masks(grid)
             filled = _sort_columns(words[::-1] | ~masks[::-1])[::-1] & masks
         return _from_row_words(grid, filled)
 

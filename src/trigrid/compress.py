@@ -6,10 +6,13 @@ initial interval {0, ..., size-1}; right compression by the terminal
 interval {n-t-size+1, ..., n-t}.  An empty section compresses to the
 empty interval.
 
-Both work on the row words of a set (bit c of word r is vertex (c, r)).
-A 2-section is one row word, so it compresses to a run of popcount bits.
-The 1-sections are sorted down (or up) their columns by an odd-even
-transposition sort of the row words, which sorts every column at once.
+Both work on the row words of a set (bit c of word r is vertex (c, r)),
+by the one rule that bulk.compress runs on uint64 arrays.  A 2-section
+is one row word, so it compresses to a run of popcount bits.  The
+1-sections are sorted down their columns by an odd-even transposition
+sort of the row words, which sorts every column at once; for the right
+side the rows are reversed around the sort, and each column's cells
+past the hypotenuse count as members.
 """
 
 from __future__ import annotations
@@ -40,46 +43,46 @@ def _from_row_words(grid: TriGrid, words: list[int]) -> VertexSet:
     return VertexSet.from_bits(grid, bits)
 
 
-def _sort_columns(words: list[int], comparator) -> list[int]:
-    """n + 1 rounds of odd-even transposition on adjacent row pairs, in place."""
+def _sort_columns(words: list[int]) -> list[int]:
+    """n + 1 rounds of odd-even transposition, (lo | hi, lo & hi) on row pairs, in place."""
     for i in range(len(words)):
         for r in range(i % 2, len(words) - 1, 2):
-            words[r], words[r + 1] = comparator(r, words[r], words[r + 1])
+            lo, hi = words[r], words[r + 1]
+            words[r], words[r + 1] = lo | hi, lo & hi
     return words
+
+
+def _compress(grid: TriGrid, a: VertexSet, axis: int, side: str) -> VertexSet:
+    """The chosen compression of a, branch for branch as bulk.compress."""
+    _check_side(side)
+    axis = _check_axis(axis)
+    masks = grid._row_mask
+    words = _row_words(grid, a)
+    if axis == 2 and side == "left":
+        words = [(1 << w.bit_count()) - 1 for w in words]
+    elif axis == 2:  # m ^ m >> c is the top c bits of a row
+        words = [m ^ m >> w.bit_count() for m, w in zip(masks, words)]
+    elif side == "left":
+        words = _sort_columns(words)
+    else:  # masks[0] ^ m is the row's cells past the hypotenuse
+        words = _sort_columns([w | masks[0] ^ m for w, m in zip(words[::-1], masks[::-1])])
+        words = [w & m for w, m in zip(words[::-1], masks)]
+    return _from_row_words(grid, words)
 
 
 def compress_left(grid: TriGrid, a: VertexSet, axis: int) -> VertexSet:
     """Push every section of a to the low end of its range."""
-    axis = _check_axis(axis)
-    words = _row_words(grid, a)
-    if axis == 2:
-        return _from_row_words(grid, [(1 << w.bit_count()) - 1 for w in words])
-    return _from_row_words(grid, _sort_columns(words, lambda r, lo, hi: (lo | hi, lo & hi)))
+    return _compress(grid, a, axis, "left")
 
 
 def compress_right(grid: TriGrid, a: VertexSet, axis: int) -> VertexSet:
-    """Push every section of a to the high end of its range {0, ..., n-t}.
-
-    On axis 1 a member moves up only into a cell of the row above, which
-    row r + 1's mask tells; a member below the column's top cell stays.
-    """
-    axis = _check_axis(axis)
-    masks = grid._row_mask
-    words = _row_words(grid, a)
-    if axis == 2:  # m ^ m >> c is the top c bits of a row
-        return _from_row_words(grid, [m ^ m >> w.bit_count() for m, w in zip(masks, words)])
-
-    def up(r, lo, hi):
-        return lo & hi | lo & ~masks[r + 1], (lo | hi) & masks[r + 1]
-
-    return _from_row_words(grid, _sort_columns(words, up))
+    """Push every section of a to the high end of its range {0, ..., n-t}."""
+    return _compress(grid, a, axis, "right")
 
 
 def is_compressed(grid: TriGrid, a: VertexSet, axis: int, side: str) -> bool:
     """True when the chosen compression fixes a."""
-    _check_side(side)
-    op = compress_left if side == "left" else compress_right
-    return op(grid, a, axis) == a
+    return _compress(grid, a, axis, side) == a
 
 
 def reflect(grid: TriGrid, a: VertexSet, axis: int) -> VertexSet:

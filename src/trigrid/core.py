@@ -13,6 +13,10 @@ import operator
 from bisect import bisect_right
 from typing import Iterable, Iterator, NamedTuple
 
+# The largest grid order: the bit masks of T_n take about n^2 log n bits
+# (29 MB at n = 4000, 124 MB at n = 8000), so every order is capped here.
+GRID_ORDER_LIMIT = 4096
+
 # Canonical neighbor order: clockwise, starting from (v1+1, v2).
 NEIGHBOR_OFFSETS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
 
@@ -51,7 +55,7 @@ class Coord(NamedTuple):
 
 
 class TriGrid:
-    """The triangular grid graph of order n (>= 1), (n+1)(n+2)/2 vertices.
+    """The triangular grid graph of order n (1..GRID_ORDER_LIMIT), (n+1)(n+2)/2 vertices.
 
     Vertices carry dense integer ids in row-major order (row 0 first,
     left to right within a row), so each row occupies a contiguous bit
@@ -77,7 +81,7 @@ class TriGrid:
     )
 
     def __init__(self, n: int):
-        self.n = n = as_int(n, "grid order", 1)
+        self.n = n = as_int(n, "grid order", 1, GRID_ORDER_LIMIT)
         self.vertex_count = (n + 1) * (n + 2) // 2
         self.full_mask = (1 << self.vertex_count) - 1
         offsets = []
@@ -263,9 +267,19 @@ class VertexSet:
     __slots__ = ("grid", "bits")
 
     def __init__(self, grid: TriGrid, coords: Iterable = ()):
+        """The set of coords.  A list, tuple or Coord of two in-grid ints
+        takes the direct path; every other entry goes through grid.index,
+        which decodes other pairs and refuses the rest with ValueError."""
         self.grid = grid
+        n, offset = grid.n, grid._row_offset
         bits = 0
         for v in coords:
+            t = type(v)
+            if (t is list or t is tuple or t is Coord) and len(v) == 2:
+                v1, v2 = v
+                if type(v1) is type(v2) is int and v1 >= 0 and v2 >= 0 and v1 + v2 <= n:
+                    bits |= 1 << (offset[v2] + v1)
+                    continue
             bits |= 1 << grid.index(v)
         self.bits = bits
 
@@ -294,24 +308,10 @@ class VertexSet:
 
     @classmethod
     def from_pairs(cls, grid: TriGrid, pairs) -> "VertexSet":
-        """Inverse of to_pairs: a list or tuple of [v1, v2] pairs.
-
-        A [v1, v2] list of two in-grid ints takes the direct path; every
-        other entry goes through grid.index, which decodes tuples and
-        refuses the rest with ValueError.
-        """
+        """Inverse of to_pairs: a list or tuple of [v1, v2] pairs."""
         if not isinstance(pairs, (list, tuple)):
             raise ValueError(f"expected a list of [v1, v2] pairs, got {pairs!r}")
-        n, offset = grid.n, grid._row_offset
-        bits = 0
-        for p in pairs:
-            if type(p) is list and len(p) == 2:
-                v1, v2 = p
-                if type(v1) is type(v2) is int and v1 >= 0 and v2 >= 0 and v1 + v2 <= n:
-                    bits |= 1 << (offset[v2] + v1)
-                    continue
-            bits |= 1 << grid.index(p)
-        return cls.from_bits(grid, bits)
+        return cls(grid, pairs)
 
     def __contains__(self, v) -> bool:
         return bool(self.bits >> self.grid.index(v) & 1)

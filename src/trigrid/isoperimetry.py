@@ -102,7 +102,9 @@ def exhaustive_min_boundary(
 
     Refuses n above the limit (default 5, hard cap 6: pass limit=6
     explicitly to accept the ~268M-subset run).  Larger orders should use
-    sampled_check instead.
+    sampled_check instead.  workers is the number of shards the id range
+    is cut into; they run in a process pool of at most os.cpu_count()
+    processes, so a large workers value never starts more.
     """
     workers = as_int(workers, "workers", 1)
     cap = min(as_int(limit, "limit", 1), EXHAUSTIVE_HARD_LIMIT)
@@ -111,11 +113,12 @@ def exhaustive_min_boundary(
     n = as_int(grid.n, what, hi=cap)
     total = 1 << nv
     if workers > 1:
+        import os
         from concurrent.futures import ProcessPoolExecutor
 
         shard = -(-total // workers)
         ranges = [(n, s, min(s + shard, total)) for s in range(0, total, shard)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_scan_range, *zip(*ranges)))
     else:
         parts = [_scan_range(n, 0, total)]

@@ -87,6 +87,12 @@ def test_invalid_order_is_usage_error(capsys):
     assert "grid order" in err
 
 
+def test_order_above_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "packing", "--n", "4097", "--k", "1", "--kind", "initial")
+    assert code == EXIT_USAGE and out == ""
+    assert "grid order must be in 1..4096, got 4097" in err
+
+
 def test_exhaustive_over_limit_is_usage_error(capsys):
     code, _, err = run(capsys, "verify-isoperimetry", "--n", "9", "--exhaustive")
     assert code == EXIT_USAGE

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,14 @@ from helpers import (
 def test_rejects_order_zero():
     with pytest.raises(ValueError):
         TriGrid(0)
+
+
+def test_rejects_order_above_cap():
+    from trigrid.core import GRID_ORDER_LIMIT
+
+    assert GRID_ORDER_LIMIT == 4096
+    with pytest.raises(ValueError, match="^grid order must be in 1..4096, got 4097$"):
+        TriGrid(4097)
 
 
 @pytest.mark.parametrize("bad", [True, 2.5, "3"])
@@ -450,6 +459,17 @@ def test_from_pairs_refuses_entries_the_direct_path_skips(entry, message):
     with pytest.raises(ValueError) as info:
         VertexSet.from_pairs(g, [[0, 0], entry])
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("wrap", [list, tuple, Coord._make])
+def test_vertex_set_direct_path_matches_index(wrap):
+    g = TriGrid(3)
+    for pair in [(v1, v2) for v1 in range(-1, 5) for v2 in range(-1, 5)]:
+        if g.contains(pair):
+            assert VertexSet(g, [wrap(pair)]).bits == 1 << g.index(pair)
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"{pair} is not a vertex of T_3")):
+                VertexSet(g, [wrap(pair)])
 
 
 def test_from_pairs_accepts_tuples_and_repeats():

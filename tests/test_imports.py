@@ -52,3 +52,16 @@ def test_cli_loads_numpy_only_for_batch_kernels():
     assert state["search simulate"] == [0, []]
     assert state["lions exact"] == [0, []]
     assert state["exhaustive"] == [0, True]
+
+
+def test_package_version_has_one_source():
+    import pytest
+
+    import trigrid
+
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    attr = pyproject["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    assert attr == "trigrid.__version__" and trigrid.__version__ == "0.1.0"

@@ -91,6 +91,35 @@ def test_exhaustive_sharded_merge_matches():
         )
 
 
+def test_exhaustive_pool_capped_at_cpu_count(monkeypatch):
+    # workers is the shard count; the pool never holds more processes than
+    # CPUs.  A fake pool records its size and maps inline, so no real pool
+    # of 64 processes is ever started.
+    import concurrent.futures
+    import os
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    g = TriGrid(2)
+    want = exhaustive_min_boundary(g, workers=1).to_json_obj()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert exhaustive_min_boundary(g, workers=64).to_json_obj() == want
+    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+
+
 # sha256 of json.dumps(exhaustive_min_boundary(T_n).to_json_obj(),
 # sort_keys=True), taken from the adjacency-matmul scan this replaced.
 EXHAUSTIVE_TABLE_SHA256 = {

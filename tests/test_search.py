@@ -220,6 +220,16 @@ def test_trace_json_detects_tampered_search_sets():
             SearchTrace.from_json_obj(obj)
 
 
+def test_trace_json_refuses_an_order_above_the_cap():
+    from trigrid import LionTrace
+
+    search_obj = {"n": 4097, "budget": 1, "searches": []}
+    lion_obj = {"n": 4097, "start": [[0, 0]], "moves": []}
+    for cls, obj in ((SearchTrace, search_obj), (LionTrace, lion_obj)):
+        with pytest.raises(TraceError, match="grid order must be in 1..4096, got 4097"):
+            cls.from_json_obj(obj)
+
+
 def _dumped(trace):
     return json.dumps(trace.to_json_obj(), sort_keys=True, indent=2) + "\n"
 
