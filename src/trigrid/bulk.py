@@ -114,41 +114,42 @@ def _sort_columns(words: np.ndarray) -> np.ndarray:
     return words
 
 
-def _low_bits(b: np.ndarray) -> np.ndarray:
-    """Words with the low b bits set; numpy shifts by 64 give 0, so b = 64 is all ones."""
-    import numpy as np
-
-    one = np.uint64(1)
-    return (one << b) - one
-
-
 def union_table(images) -> np.ndarray:
     """uint64 table whose entry b is the OR of images[j] over the bits j of b.
 
-    Built by doubling: the table for images[:j + 1] is the one for
-    images[:j] followed by the same entries ORed with images[j].  A map
-    that takes unions to unions, such as a neighbour spread or a
-    permutation of ids, is tabulated over a bit field by its images of
-    the single bits.  Every image must fit 64 bits.
+    Built by doubling in one preallocated table: entries 2^j..2^(j+1) - 1
+    are entries 0..2^j - 1 ORed with images[j].  A map that takes unions
+    to unions, such as a neighbour spread or a permutation of ids, is
+    tabulated over a bit field by its images of the single bits.  An
+    image is an int or a row of ints, each fitting 64 bits, and an entry
+    has an image's shape, also when images is an empty (0, w) array.
     """
     import numpy as np
 
-    table = np.zeros(1, dtype=np.uint64)
-    for image in images:
-        table = np.concatenate((table, table | np.uint64(image)))
+    images = np.asarray(images, dtype=np.uint64)
+    table = np.zeros((1 << len(images), *images.shape[1:]), dtype=np.uint64)
+    for j, image in enumerate(images):
+        np.bitwise_or(table[: 1 << j], image, out=table[1 << j : 2 << j])
     return table
 
 
 def subsets_from_ids(grid: TriGrid, ids: np.ndarray) -> np.ndarray:
-    """Sets of subset counter values (bit j = dense id j), one word each."""
+    """Sets of subset counter values (bit j = dense id j), one word each.
+    Ids that are not integers (floats, bools, strings) raise ValueError."""
     import numpy as np
 
     _check_order(grid)
     nv = grid.vertex_count
     if nv > 64:
         raise ValueError(f"T_{grid.n} has {nv} vertices; subset ids are 64-bit")
+    if not isinstance(ids, np.ndarray):
+        ids = np.array(ids, dtype=object)  # each id keeps its type: [3, 1 << 63] reads as float64
+        if not all(isinstance(i, (int, np.integer)) and type(i) is not bool for i in ids.flat):
+            raise ValueError("subset ids must be integers")
+    elif ids.dtype.kind not in "iu":
+        raise ValueError(f"subset ids must be integers, got {ids.dtype}")
     try:
-        ids = np.asarray(ids, dtype=np.uint64)
+        ids = ids.astype(np.uint64, copy=False)
     except OverflowError:
         raise ValueError("subset ids have bits outside the grid") from None
     if ids.ndim != 1:
@@ -239,8 +240,8 @@ def compress(grid: TriGrid, sets: np.ndarray, axis: int, side: str) -> np.ndarra
 
     def kernel(words):
         masks = _row_masks(grid)
-        if axis == 2 and side == "left":
-            filled = _low_bits(np.bitwise_count(words))
+        if axis == 2 and side == "left":  # a shift by 64 gives 0, so 0 - 1 fills a full row
+            filled = (np.uint64(1) << np.bitwise_count(words)) - np.uint64(1)
         elif axis == 2:  # the scalar m ^ m >> c; a shift by 64 gives 0, so a full row works
             filled = masks ^ masks >> np.bitwise_count(words)
         elif side == "left":

@@ -43,6 +43,10 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+# search/lions simulate hold every turn's state, so their memory grows
+# about as n^4: about 150 MB at n = 100 (370 MB with --render).
+SIMULATE_ORDER_LIMIT = 100
+
 
 @dataclass
 class RunConfig:
@@ -117,7 +121,7 @@ def _compress(p: dict, config: RunConfig):
 
 
 def _search_simulate(p: dict, config: RunConfig):
-    grid = TriGrid(p["n"])
+    grid = TriGrid(as_int(p["n"], "simulated grid order", 1, SIMULATE_ORDER_LIMIT))
     trace = three_stage_strategy(grid)
     ok = verify_trace(grid, trace)
     return _simulated(trace, ok, p["render"], trace.searches, trace.dirty_after, "Y")
@@ -136,7 +140,7 @@ def _search_bounds(p: dict, config: RunConfig):
 
 
 def _lions_simulate(p: dict, config: RunConfig):
-    grid = TriGrid(p["n"])
+    grid = TriGrid(as_int(p["n"], "simulated grid order", 1, SIMULATE_ORDER_LIMIT))
     trace = column_sweep_strategy(grid)
     occupied = (VertexSet.from_bits(grid, m) for m in trace.occupied)
     return _simulated(trace, trace.is_winning(), p["render"], occupied, trace.contaminated, "L")

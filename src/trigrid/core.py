@@ -296,6 +296,10 @@ class VertexSet:
 
     @classmethod
     def from_hex(cls, grid: TriGrid, s: str) -> "VertexSet":
+        """Inverse of to_hex: exactly (V + 3) // 4 lowercase hex digits."""
+        width = (grid.vertex_count + 3) // 4
+        if type(s) is not str or len(s) != width or not set(s) <= set("0123456789abcdef"):
+            raise ValueError(f"expected {width} lowercase hex digits for T_{grid.n}, got {s!r}")
         return cls.from_bits(grid, int(s, 16))
 
     def to_hex(self) -> str:

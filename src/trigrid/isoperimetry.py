@@ -73,7 +73,7 @@ def _scan_range(n: int, start: int, stop: int) -> tuple[list[int], list[int]]:
 
     grid = TriGrid(n)
     nv = grid.vertex_count
-    table = bulk.union_table(grid.spread_bits(1 << j) for j in range(min(nv, _CHUNK_BITS)))
+    table = bulk.union_table([grid.spread_bits(1 << j) for j in range(min(nv, _CHUNK_BITS))])
     size = len(table)
     best = np.full(nv + 1, nv + 1)
     witness = [0] * (nv + 1)
@@ -244,8 +244,8 @@ def diagonal_segment_check(grid: TriGrid) -> DiagonalSegmentReport:
     for v1 in range(n + 1):
         diag_bits |= 1 << grid.index((v1, n - v1))
     off_ids = [i for i in range(nv) if not diag_bits >> i & 1]
-    sets = bulk.union_table(1 << i for i in off_ids)
-    spreads = bulk.union_table(grid.spread_bits(1 << i) for i in off_ids)
+    sets = bulk.union_table([1 << i for i in off_ids])
+    spreads = bulk.union_table([grid.spread_bits(1 << i) for i in off_ids])
     spreads |= sets
     cases = {
         "avoid": (0, initial_segment_boundary_size),

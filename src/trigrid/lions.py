@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -121,15 +122,16 @@ def _legal_moves(grid: TriGrid, positions: Sequence[Coord], turn) -> list[tuple[
 
 
 def _turn(
-    grid: TriGrid, positions: tuple[Coord, ...], ids: list[int], here: list[int],
+    grid: TriGrid, positions: tuple[Coord, ...], ids: list[int], here: Counter,
     occupied: int, turn, cont: int,
 ) -> tuple[tuple[Coord, ...], int, int]:
     """Validate and play one turn: the new positions, occupancy bits and
     contamination bits.
 
-    Past validation the turn runs on dense ids, in O(moves): ids (one per
-    lion, in step with positions) and here (the number of lions on each
-    vertex) are updated in place, and occupied and cont are bitmasks.
+    Past validation the turn copies the positions once and otherwise runs
+    on dense ids in O(moves): ids (one per lion, in step with positions)
+    and here (a Counter of the lions on each occupied id) are updated in
+    place, and occupied and cont are bitmasks.
     Occupancy changes only at the moves' ends: each destination is set,
     and a vacated vertex is cleared only when no lion is left on it, so
     stacked lions and swaps keep their vertices.
@@ -151,14 +153,6 @@ def _turn(
     return tuple(moved), occupied, _contaminate(grid, cont, traversed, occupied)
 
 
-def _lions_on(grid: TriGrid, ids: list[int]) -> list[int]:
-    """The number of lions on each vertex, indexed by dense id."""
-    here = [0] * grid.vertex_count
-    for i in ids:
-        here[i] += 1
-    return here
-
-
 def lion_step(
     grid: TriGrid,
     positions: Sequence[Coord],
@@ -177,7 +171,7 @@ def lion_step(
     ids = [_id(grid, v) for v in positions]
     cont = _set_bits(grid, contaminated)
     new_positions, _, cont = _turn(
-        grid, positions, ids, _lions_on(grid, ids), _mask(ids), enumerate(dests), cont
+        grid, positions, ids, Counter(ids), _mask(ids), enumerate(dests), cont
     )
     return new_positions, VertexSet.from_bits(grid, cont)
 
@@ -216,7 +210,7 @@ class LionTrace:
     ) -> "LionTrace":
         start = tuple(grid.check(v) for v in start)
         ids = [_id(grid, v) for v in start]
-        here = _lions_on(grid, ids)
+        here = Counter(ids)
         occ = _mask(ids)
         occupied = [occ]
         cont = grid.full_mask & ~occ

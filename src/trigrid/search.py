@@ -123,7 +123,7 @@ class SearchTrace:
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceError(f"malformed search trace: {exc}") from exc
         trace = cls.from_searches(grid, budget, searches)
-        if stored is not None:
+        if stored:  # as verify_trace: no stored states, or one per turn
             for turn, (checksum, d) in enumerate(zip(stored, trace.dirty_after)):
                 if checksum != d.to_hex():
                     raise TraceError(f"dirty checksum mismatch at turn {turn}")
@@ -322,8 +322,8 @@ def _budget_solver(grid: TriGrid):
 
     nv = grid.vertex_count
     # Split-word tables over the low 8 bits and the rest, for the spread
-    # (each vertex's neighbour mask) and for the images under the five
-    # non-identity symmetries.
+    # (each vertex's neighbour mask) and for the symmetries (row i holds
+    # id i's images under the five non-identity ones, as in _lion_solver).
     lo = min(8, nv)
     lo_mask = (1 << lo) - 1
 
@@ -331,9 +331,8 @@ def _budget_solver(grid: TriGrid):
         return bulk.union_table(images[:lo]), bulk.union_table(images[lo:])
 
     spread_lo, spread_hi = split([grid._neighbor_bits(i) for i in range(nv)])
-    perm_tabs = [
-        split([1 << p for p in perm]) for perm in automorphism_id_permutations(grid)[1:]
-    ]
+    perms = np.array(automorphism_id_permutations(grid)[1:], dtype=np.uint64)
+    sym_lo, sym_hi = split(np.uint64(1) << perms.T)
 
     def clearable(m: int) -> bool:
         if m >= nv:
@@ -349,9 +348,9 @@ def _budget_solver(grid: TriGrid):
             if (np.bitwise_count(succ) <= m).any():
                 return None  # small enough to finish next turn
             succ = succ[(succ | d) != succ]
-            best = succ
-            for plo, phi in perm_tabs:
-                best = np.minimum(best, plo[succ & lo_mask] | phi[succ >> lo])
+            images = sym_lo.take(succ & lo_mask, axis=0) | sym_hi.take(succ >> lo, axis=0)
+            # take beats [] at gathering rows; min on a (5, k) copy beats a short-axis min
+            best = np.minimum(succ, images.T.copy().min(axis=0))
             return np.unique(best).tolist()
 
         return _reaches([grid.full_mask], expand)

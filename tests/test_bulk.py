@@ -89,6 +89,20 @@ def test_subsets_from_ids_refuses_bits_outside_grid(ids):
         bulk.subsets_from_ids(TriGrid(2), ids)
 
 
+@pytest.mark.parametrize(
+    "ids", [[1.5, 2.0], np.array([1.9]), [True, False], ["5"], np.array([1], dtype=object)]
+)
+def test_subsets_from_ids_refuses_ids_that_are_not_integers(ids):
+    with pytest.raises(ValueError, match="subset ids must be integers"):
+        bulk.subsets_from_ids(TriGrid(2), ids)
+
+
+def test_subsets_from_ids_takes_integer_arrays_and_lists():
+    g = TriGrid(2)
+    for ids in ([1, 2], np.array([1, 2], dtype=np.int8), [np.uint64(1), 2], []):
+        assert bulk.pack_rows(bulk.subsets_from_ids(g, ids)) == [int(i) for i in ids]
+
+
 def test_subsets_from_ids_refuses_grids_over_64_vertices():
     assert bulk.pack_rows(bulk.subsets_from_ids(TriGrid(9), [1 << 54])) == [1 << 54]
     with pytest.raises(ValueError, match="66 vertices"):

@@ -93,6 +93,13 @@ def test_order_above_cap_is_usage_error(capsys):
     assert "grid order must be in 1..4096, got 4097" in err
 
 
+@pytest.mark.parametrize("game", ["search", "lions"])
+def test_simulate_order_above_cap_is_usage_error(capsys, game):
+    code, out, err = run(capsys, game, "simulate", "--n", "101")
+    assert code == EXIT_USAGE and out == ""
+    assert "simulated grid order must be in 1..100, got 101" in err
+
+
 def test_exhaustive_over_limit_is_usage_error(capsys):
     code, _, err = run(capsys, "verify-isoperimetry", "--n", "9", "--exhaustive")
     assert code == EXIT_USAGE

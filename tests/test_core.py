@@ -429,6 +429,13 @@ def test_vertex_set_basics():
     assert len(s) == len(list(s)) == 3
 
 
+@pytest.mark.parametrize("s", ["0x3f", " 3f ", "3_f", "+3f", "3F", "00003f", "", b"3f", 5, None])
+def test_from_hex_takes_only_what_to_hex_writes(s):
+    # T_2's full set is "3f"; int(s, 16) read most of these as 63 too.
+    with pytest.raises(ValueError, match="^expected 2 lowercase hex digits for T_2, got "):
+        VertexSet.from_hex(TriGrid(2), s)
+
+
 def test_vertex_set_serialization_round_trips():
     g = TriGrid(4)
     a = g.set_of([(2, 1), (0, 0), (0, 4)])
@@ -437,6 +444,8 @@ def test_vertex_set_serialization_round_trips():
         with pytest.raises(ValueError):
             VertexSet.from_pairs(g, bad)
     assert VertexSet.from_hex(g, a.to_hex()) == a
+    with pytest.raises(ValueError, match="outside the grid"):  # the right width, too large
+        VertexSet.from_hex(TriGrid(2), "40")
     # pairs come out sorted row-major
     assert a.to_pairs() == sorted(a.to_pairs(), key=lambda p: (p[1], p[0]))
     with pytest.raises(ValueError):

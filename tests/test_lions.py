@@ -29,6 +29,7 @@ from helpers import (
     lion_trace_json_oracle,
     lion_turn_oracle,
     lions_clearable_oracle,
+    traced_peak,
 )
 
 # Digests of the column sweep as first replayed from coordinates; the
@@ -55,6 +56,16 @@ def test_lion_step_no_sources():
     pos = (Coord(1, 1),)
     new_pos, cont = lion_step(g, pos, [None], g.empty_set())
     assert new_pos == pos and not cont
+
+
+def test_lion_step_costs_no_per_vertex_memory():
+    # One lion on an empty T_2000 (about 2M vertices): the turn keeps
+    # counts only where lions stand, not one per vertex.
+    g = TriGrid(2000)
+    empty = g.empty_set()
+    peak, (pos, cont) = traced_peak(lambda: lion_step(g, [Coord(0, 0)], [Coord(1, 0)], empty))
+    assert pos == (Coord(1, 0),) and not cont
+    assert peak < 1 << 20
 
 
 def test_lion_step_validation():

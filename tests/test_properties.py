@@ -66,3 +66,17 @@ def test_union_table_entry_is_or_of_its_images(images):
             if b >> j & 1:
                 want |= image
         assert entry == want
+
+
+@bounded
+@given(st.lists(st.lists(st.integers(0, (1 << 64) - 1), min_size=5, max_size=5), max_size=8))
+def test_union_table_of_rows_is_or_of_its_rows(rows):
+    # Row images, as the solver's symmetry tables: no rows still gives 5 columns.
+    table = bulk.union_table(np.array(rows, dtype=np.uint64).reshape(len(rows), 5))
+    assert table.dtype == np.uint64 and table.shape == (1 << len(rows), 5)
+    for b, entry in enumerate(table.tolist()):
+        want = [0] * 5
+        for j, row in enumerate(rows):
+            if b >> j & 1:
+                want = [w | r for w, r in zip(want, row)]
+        assert entry == want

@@ -198,13 +198,31 @@ def test_trace_json_round_trip_and_checksums():
 def test_trace_json_checks_checksums_turn_by_turn_then_their_count():
     obj = json.loads(three_stage_strategy(TriGrid(3)).to_json())
     sums = obj["dirty_checksums"]
-    for stored in (sums[:-1], sums + [sums[-1]], []):
+    for stored in (sums[:-1], sums + [sums[-1]]):
         with pytest.raises(TraceError, match="^dirty checksum count does not match turn count$"):
             SearchTrace.from_json_obj({**obj, "dirty_checksums": stored})
     wrong = sums[:2] + ["00"] + sums[3:]
     for stored in (wrong, wrong[:-1], wrong + ["00"]):
         with pytest.raises(TraceError, match="^dirty checksum mismatch at turn 2$"):
             SearchTrace.from_json_obj({**obj, "dirty_checksums": stored})
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_trace_without_stored_states_reads_back(n):
+    # Built directly, the sweep has no stored states and writes an empty
+    # checksum list, which reads back as none, the rule verify_trace uses.
+    g = TriGrid(n)
+    budget, searches = search._three_stage_searches(g)
+    trace = SearchTrace(g, budget, searches)
+    assert verify_trace(g, trace)
+    obj = json.loads(trace.to_json())
+    assert obj["dirty_checksums"] == []
+    back = SearchTrace.from_json_obj(obj)
+    assert (back.budget, back.searches) == (budget, searches)
+    assert back.to_json() == three_stage_strategy(g).to_json()
+    sums = json.loads(back.to_json())["dirty_checksums"]
+    with pytest.raises(TraceError, match="^dirty checksum count does not match turn count$"):
+        SearchTrace.from_json_obj({**obj, "dirty_checksums": sums[:-1]})
 
 
 def test_trace_json_detects_tampered_search_sets():
@@ -294,6 +312,14 @@ def test_exact_solver_matches_oracle_t3_t4():
     for n, m in ((3, 3), (3, 4), (4, 4)):
         g = TriGrid(n)
         assert _budget_solver(g)(m) == search_clearable_oracle(g, m)
+
+
+def test_exact_solver_one_order_past_the_cap():
+    # In(T_5) = 6: the symmetry tables span both halves of the split there.
+    from trigrid.search import _budget_solver
+
+    clearable = _budget_solver(TriGrid(5))
+    assert [clearable(m) for m in (5, 6)] == [False, True]
 
 
 def test_search_sets_equal_itertools_combinations():
