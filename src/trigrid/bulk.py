@@ -166,7 +166,10 @@ def random_subsets(grid: TriGrid, count: int, rng: np.random.Generator) -> np.nd
     of rng.integers(0, 2, size=(count, V), dtype=np.uint8).  For a range
     of two, numpy keeps bit 7 of each byte of consecutive 32-bit
     outputs, low byte first; drawing those outputs whole skips its
-    per-byte loop, and one packbits turns the cells into words.
+    per-byte loop, and one packbits turns the cells into words.  Where
+    the generator splits 64-bit outputs and holds no buffered half, the
+    outputs are drawn two at a time as 64-bit words, and an odd last one
+    with the 32-bit call, which buffers its high half as numpy would.
     """
     import numpy as np
 
@@ -175,11 +178,27 @@ def random_subsets(grid: TriGrid, count: int, rng: np.random.Generator) -> np.nd
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
     nv = grid.vertex_count
-    words = rng.integers(0, 1 << 32, size=-(-count * nv // 4), dtype=np.uint32)
-    cells = words.astype("<u4", copy=False).view(np.uint8)[: count * nv]
-    cells >>= 7  # in place: the cells take no more memory than the draw
+    outputs = -(-count * nv // 4)  # 32-bit outputs, four cells each
+    # These bit generators give the low, then the high, half of one 64-bit
+    # output as their next two 32-bit outputs (MT19937 does not), so with
+    # no half buffered a 64-bit draw reads the bytes of two 32-bit draws.
+    # Bit 7 of each byte is a cell; packbits reads any nonzero byte as 1.
+    split = (np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.Philox)
+    bitgen = rng.bit_generator
+    if type(bitgen) in split and not bitgen.state["has_uint32"]:
+        words = rng.integers(0, 1 << 64, size=outputs // 2, dtype=np.uint64)
+        words &= np.uint64(0x8080808080808080)
+        cells = words.astype("<u8", copy=False).view(np.uint8)
+        if outputs % 2:
+            last = rng.integers(0, 1 << 32, size=1, dtype=np.uint32).astype("<u4")
+            cells = np.concatenate([cells, last.view(np.uint8) & 0x80])
+    else:
+        words = rng.integers(0, 1 << 32, size=outputs, dtype=np.uint32)
+        words &= np.uint32(0x80808080)
+        cells = words.astype("<u4", copy=False).view(np.uint8)
     raw = np.zeros((count, 8 * -(-nv // 64)), dtype=np.uint8)
-    raw[:, : (nv + 7) // 8] = np.packbits(cells.reshape(count, nv), axis=1, bitorder="little")
+    cells = cells[: count * nv].reshape(count, nv)
+    raw[:, : (nv + 7) // 8] = np.packbits(cells, axis=1, bitorder="little")
     return raw.view("<u8")
 
 

@@ -25,9 +25,10 @@ SAMPLED_ORDER_LIMIT = 30
 DIAGONAL_CHECK_ORDER_LIMIT = 6
 
 _CHUNK_BITS = 16  # width of _scan_range's union table: 2^16 ids per spread_bits call
-# Sets sampled_check draws and checks at a time.  A multiple of 4, so each
-# block's draw ends on a whole 32-bit output and the blocks draw exactly
-# the sets, and leave the generator state, of one draw of all samples.
+# Sets sampled_check draws and checks at a time.  A multiple of 8, so each
+# block's draw ends on a whole 64-bit output: the blocks draw exactly the
+# sets, and leave the generator state, of one draw of all samples, and no
+# block starts on a buffered half, which would take the 32-bit draw.
 _SAMPLE_BLOCK = 4 * bulk._BLOCK
 
 
@@ -61,36 +62,65 @@ class MinBoundaryTable:
         )
 
 
+def _closed_table(grid: TriGrid, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed neighbourhoods of every subset of ids, in (popcount, counter) order.
+
+    A counter's bit j picks ids[j].  Returns (counters, closed, edges):
+    counters ascend by popcount and, within one popcount, by value;
+    closed[i] is X | spread(X) for the subset X that counters[i] picks;
+    popcount g fills closed[edges[g] : edges[g + 1]].  So
+    np.minimum.reduceat(sizes, edges[:-1]) gives one least size per
+    popcount.  Closed neighbourhoods are unions over members, so
+    union_table builds them from the images of the single ids.
+    """
+    import numpy as np
+
+    table = bulk.union_table([grid.spread_bits(1 << i) | 1 << i for i in ids])
+    pop = np.bitwise_count(np.arange(len(table), dtype=np.uint64))
+    counters = np.argsort(pop, kind="stable")
+    edges = np.searchsorted(pop[counters], np.arange(len(ids) + 2))
+    return counters, table[counters], edges
+
+
 def _scan_range(n: int, start: int, stop: int) -> tuple[list[int], list[int]]:
     """Per-cardinality (min boundary, smallest witness counter) over one id range.
 
-    Spread is a union over members, so for an id base | low, with base a
-    multiple of the chunk size, spread(id) = spread(base) | spread(low).
-    The spreads of every low pattern are tabulated once by union_table;
-    each chunk then needs one spread_bits call and a few popcounts.
+    An id is base | low, with base a multiple of the chunk size and low
+    below it, and N[id] = N[base] | N[low] for closed neighbourhoods N.
+    _closed_table holds N[low] for every low, by popcount, so a chunk
+    takes one spread_bits call, one OR, one popcount and one
+    np.minimum.reduceat, and |boundary(A)| = |N[A]| - |A| gives one least
+    boundary per cardinality popcount(base) + g.  Only a group whose
+    least beats the best so far is searched for a witness: its first hit,
+    the smallest counter there, as chunks run in ascending order.  Ids of
+    a partial chunk outside start..stop count as size 255, never least.
     """
     import numpy as np
 
     grid = TriGrid(n)
     nv = grid.vertex_count
-    table = bulk.union_table([grid.spread_bits(1 << j) for j in range(min(nv, _CHUNK_BITS))])
-    size = len(table)
+    counters, closed, edges = _closed_table(grid, range(min(nv, _CHUNK_BITS)))
+    size = len(closed)
+    groups = np.arange(len(edges) - 1)
     best = np.full(nv + 1, nv + 1)
     witness = [0] * (nv + 1)
+    union = np.empty_like(closed)
+    sizes = np.empty(size, dtype=np.uint8)
     s = start
     while s < stop:
         base = s - s % size
         e = min(base + size, stop)
-        ids = np.arange(s, e, dtype=np.uint64)
-        spread = table[s - base : e - base] | np.uint64(grid.spread_bits(base))
-        spread &= ~ids
-        cells = np.bitwise_count(ids).astype(np.intp) * (nv + 1)
-        cells += np.bitwise_count(spread)
-        seen = np.bincount(cells, minlength=(nv + 1) ** 2).reshape(nv + 1, nv + 1) > 0
-        least = seen.argmax(axis=1)  # per cardinality: the smallest boundary seen
-        for k in np.flatnonzero(seen.any(axis=1) & (least < best)):
-            best[k] = least[k]
-            witness[k] = s + int(np.argmax(cells == k * (nv + 1) + least[k]))
+        np.bitwise_or(closed, np.uint64(base | grid.spread_bits(base)), out=union)
+        np.bitwise_count(union, out=sizes)
+        if e - s < size:
+            sizes[(counters < s - base) | (counters >= e - base)] = 255
+        least = np.minimum.reduceat(sizes, edges[:-1])
+        k = groups + base.bit_count()
+        bound = least - k
+        for g in np.flatnonzero(bound < best[k]):
+            lo, hi = edges[g], edges[g + 1]
+            best[k[g]] = bound[g]
+            witness[k[g]] = base + int(counters[lo + np.argmax(sizes[lo:hi] == least[g])])
         s = e
     return best.tolist(), witness
 
@@ -232,9 +262,12 @@ def diagonal_segment_check(grid: TriGrid) -> DiagonalSegmentReport:
     """Exhaustive diagonal-conditioned check of segment minimality (n <= 6).
 
     Every set in either case is D | X for X over the off-diagonal
-    vertices, with D empty or the whole diagonal.  union_table gives X
-    and its spread for every counter at once, and a set's closed
-    neighborhood is D | X | spread(D) | spread(X).
+    vertices, with D empty or the whole diagonal, and its closed
+    neighbourhood is N[D] | N[X].  _closed_table gives N[X] for every
+    counter, by popcount, so one np.minimum.reduceat per case gives the
+    least neighbourhood of each size |D| + popcount.  Only a size whose
+    least slack is negative is searched for violations, which are
+    reported by ascending counter, avoid before contain.
     """
     import numpy as np
 
@@ -244,32 +277,30 @@ def diagonal_segment_check(grid: TriGrid) -> DiagonalSegmentReport:
     for v1 in range(n + 1):
         diag_bits |= 1 << grid.index((v1, n - v1))
     off_ids = [i for i in range(nv) if not diag_bits >> i & 1]
-    sets = bulk.union_table([1 << i for i in off_ids])
-    spreads = bulk.union_table([grid.spread_bits(1 << i) for i in off_ids])
-    spreads |= sets
-    cases = {
-        "avoid": (0, initial_segment_boundary_size),
-        "contain": (diag_bits, final_segment_boundary_size),
-    }
+    counters, closed, edges = _closed_table(grid, off_ids)
+    cases = [
+        ("avoid", 0, initial_segment_boundary_size),
+        ("contain", diag_bits, final_segment_boundary_size),
+    ]
     least: dict[str, list[int | None]] = {}
-    bad = {}
-    for case, (d, segment_boundary_size) in cases.items():
+    found = []  # (counter, case position) of every violation
+    for pos, (case, d, segment_boundary_size) in enumerate(cases):
+        k = range(d.bit_count(), d.bit_count() + len(edges) - 1)
         # |N(segment(k))| = k + |boundary(segment(k))|
-        ref = [k + segment_boundary_size(grid, k) for k in range(nv + 1)]
-        ref = np.array(ref, dtype=np.int16)
-        k = np.bitwise_count(sets) + d.bit_count()
-        slack = np.bitwise_count(spreads | np.uint64(d | grid.spread_bits(d))) - ref[k]
-        per_k = np.full(nv + 1, nv + 1)
-        np.minimum.at(per_k, k, slack)
-        seen = np.bincount(k, minlength=nv + 1) > 0
-        least[case] = [int(x) if s else None for x, s in zip(per_k, seen)]
-        bad[case] = slack < 0
-    violations = []  # ascending counter, avoid before contain
-    for c in np.flatnonzero(bad["avoid"] | bad["contain"]):
-        for case, (d, _) in cases.items():
-            if bad[case][c]:
-                a = VertexSet.from_bits(grid, int(sets[c]) | d)
-                violations.append({"case": case, "k": len(a), "witness_hex": a.to_hex()})
+        ref = np.array([kk + segment_boundary_size(grid, kk) for kk in k])
+        sizes = np.bitwise_count(closed | np.uint64(d | grid.spread_bits(d)))
+        slack = np.minimum.reduceat(sizes, edges[:-1]) - ref
+        least[case] = [None] * (nv + 1)
+        least[case][k.start : k.stop] = slack.tolist()
+        for g in np.flatnonzero(slack < 0):
+            lo, hi = edges[g], edges[g + 1]
+            found += [(int(c), pos) for c in counters[lo:hi][sizes[lo:hi] < ref[g]]]
+    violations = []
+    for c, pos in sorted(found):
+        case, d, _ = cases[pos]
+        bits = d | sum(1 << i for j, i in enumerate(off_ids) if c >> j & 1)
+        a = VertexSet.from_bits(grid, bits)
+        violations.append({"case": case, "k": len(a), "witness_hex": a.to_hex()})
     return DiagonalSegmentReport(
         n=n,
         min_slack_avoid=least["avoid"],

@@ -109,15 +109,22 @@ def test_subsets_from_ids_refuses_grids_over_64_vertices():
         bulk.subsets_from_ids(TriGrid(10), [1])
 
 
-@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+@pytest.mark.parametrize(
+    "bitgen",
+    [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.PCG64DXSM, np.random.SFC64],
+)
 def test_random_subsets_draws_as_integers_0_2(bitgen):
     # Same sets and same generator state as the per-vertex reference
-    # draw; c * V odd leaves part of the last 32-bit output unused.
+    # draw; c * V odd leaves part of the last 32-bit output unused.  A
+    # first 32-bit draw (buffered) leaves half a 64-bit output in the
+    # generators that split them.
     for n, count in [(1, 0), (1, 1), (2, 3), (3, 7), (9, 5), (20, 65), (30, 4097)]:
         g = TriGrid(n)
-        for seed in (0, 1, 7):
+        for seed, buffered in [(0, 0), (1, 0), (7, 0), (0, 1), (7, 1)]:
             fast = np.random.Generator(bitgen(seed))
             ref = np.random.Generator(bitgen(seed))
+            for rng in (fast, ref):
+                rng.integers(0, 1 << 32, buffered, dtype=np.uint32)
             sets = bulk.random_subsets(g, count, fast)
             cells = ref.integers(0, 2, size=(count, g.vertex_count), dtype=np.uint8)
             digits = (cells[:, ::-1] + ord("0")).view(f"S{g.vertex_count}")  # high id first

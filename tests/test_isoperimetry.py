@@ -139,19 +139,31 @@ def test_exhaustive_tables_pinned(n):
 
 
 def test_scan_range_off_chunk_edges_matches_scalar_scan():
-    # An id range of T_5 that starts and ends inside 2^16-id chunks and
-    # spans a whole one; minima and smallest witnesses from spread_bits.
-    n, start, stop = 5, 65536 - 300, 2 * 65536 + 300
-    g = TriGrid(n)
-    nv = g.vertex_count
-    best = [nv + 1] * (nv + 1)
-    witness = [0] * (nv + 1)
-    for a in range(start, stop):
-        k = a.bit_count()
-        b = (g.spread_bits(a) & ~a).bit_count()
-        if b < best[k]:
-            best[k], witness[k] = b, a
-    assert _scan_range(n, start, stop) == (best, witness)
+    # Id ranges of T_5 (2^16-id chunks): one that starts and ends inside
+    # chunks and spans a whole one, one inside a single chunk, a single
+    # id, and (0, 1000), whose unseen cardinalities keep V + 1 and
+    # witness 0.  T_2's table (2^6 ids) is smaller than a chunk.
+    cases = [
+        (5, 65536 - 300, 2 * 65536 + 300),
+        (5, 3 * 65536 + 17, 3 * 65536 + 5000),
+        (5, 2 * 65536 + 6, 2 * 65536 + 7),
+        (5, 0, 1000),
+        (2, 0, 64),
+        (2, 5, 50),
+    ]
+    for n, start, stop in cases:
+        g = TriGrid(n)
+        nv = g.vertex_count
+        best = [nv + 1] * (nv + 1)
+        witness = [0] * (nv + 1)
+        for a in range(start, stop):
+            k = a.bit_count()
+            b = (g.spread_bits(a) & ~a).bit_count()
+            if b < best[k]:
+                best[k], witness[k] = b, a
+        assert _scan_range(n, start, stop) == (best, witness)
+    best, witness = _scan_range(5, 0, 1000)  # ids below 2^10 have at most 10 members
+    assert best[11:] == [22] * 11 and witness[11:] == [0] * 11
 
 
 def test_table_csv_shape():
