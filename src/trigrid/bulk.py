@@ -2,15 +2,17 @@
 
 A batch of sets is a (count, W) uint64 array, W = ceil(V / 64): row i
 is set i's dense-id bitmask, 64 ids per word, low word first, so
-pack_rows gives back VertexSet.bits.  The kernels work block by block,
-with shifts and np.bitwise_count.  When the batch is one word wide
-(W = 1, so n <= 9), boundary_sizes and neighborhood_sizes hand each
-block's word column to TriGrid.spread_bits itself, whose row-shift
-network keeps every bit at a position <= V + n - 2 <= 62.  Wider
-batches, and compress at every width, cut their rows into one uint64
+pack_rows gives back VertexSet.bits.  The kernels work in blocks of
+_BLOCK = 8192 sets, with shifts and np.bitwise_count.  When the batch is
+one word wide (W = 1, so n <= 9), boundary_sizes and neighborhood_sizes
+hand each block's word column to TriGrid.spread_bits itself, whose
+row-shift network keeps every bit at a position <= V + n - 2 <= 62.
+Wider batches, and compress at every width, cut their rows into one row
 word per grid row (bit c of word r is vertex (c, r), cut from the row's
-run of dense ids) and join them back when they return sets.  A grid row
-holds at most n + 1 vertices, so every kernel refuses n > 63.
+run of dense ids) and join them back when they return sets.  A row word
+is the narrowest unsigned type that holds a grid row's n + 1 bits:
+uint8 for n <= 7, uint16 for n <= 15, uint32 for n <= 31 and uint64 for
+n <= 63, so every kernel refuses n > 63.
 Each function imports numpy itself, so importing trigrid does not.
 These back the large exhaustive and randomized sweeps; the scalar
 operations in core/compress are the reference implementations they are
@@ -23,7 +25,10 @@ from .compress import _check_axis, _check_side
 from .core import TriGrid, as_int
 
 ORDER_LIMIT = 63  # the longest row, n + 1 vertices, must fit one uint64 word
-_BLOCK = 1 << 12  # sets per kernel pass; a block's words stay in cache
+# Sets per kernel pass: a block's row words stay in cache.  Of 4096, 8192
+# and 16384, 8192 gave the least total time over sampled_check at n = 20
+# and compress and neighborhood_sizes at n = 9.
+_BLOCK = 1 << 13
 
 
 def _check_order(grid: TriGrid) -> None:
@@ -53,11 +58,19 @@ def _blockwise(grid: TriGrid, sets: np.ndarray, cut, kernel) -> np.ndarray:
     )
 
 
-def _row_words(grid: TriGrid, sets: np.ndarray) -> np.ndarray:
-    """(n + 1, count) uint64: bit c of word r is vertex (c, r) of each set."""
+def _word_type(grid: TriGrid) -> type:
+    """The narrowest unsigned numpy type holding a grid row's n + 1 bits."""
     import numpy as np
 
-    words = np.empty((grid.n + 1, len(sets)), dtype=np.uint64)
+    n = grid.n
+    return np.uint8 if n <= 7 else np.uint16 if n <= 15 else np.uint32 if n <= 31 else np.uint64
+
+
+def _row_words(grid: TriGrid, sets: np.ndarray) -> np.ndarray:
+    """(n + 1, count) row words: bit c of word r is vertex (c, r) of each set."""
+    import numpy as np
+
+    words = np.empty((grid.n + 1, len(sets)), dtype=_word_type(grid))
     for r, (off, mask) in enumerate(zip(grid._row_offset, grid._row_mask)):
         q, s = divmod(off, 64)
         w = sets[:, q] >> s
@@ -74,16 +87,17 @@ def _from_row_words(grid: TriGrid, words: np.ndarray) -> np.ndarray:
     sets = np.zeros((words.shape[1], -(-grid.vertex_count // 64)), dtype=np.uint64)
     for r, (off, mask) in enumerate(zip(grid._row_offset, grid._row_mask)):
         q, s = divmod(off, 64)
-        sets[:, q] |= words[r] << s
+        w = words[r].astype(np.uint64, copy=False)
+        sets[:, q] |= w << s
         if s + mask.bit_length() > 64:
-            sets[:, q + 1] |= words[r] >> (64 - s)
+            sets[:, q + 1] |= w >> (64 - s)
     return sets
 
 
 def _row_masks(grid: TriGrid) -> np.ndarray:
     import numpy as np
 
-    return np.array(grid._row_mask, dtype=np.uint64)[:, None]
+    return np.array(grid._row_mask, dtype=_word_type(grid))[:, None]
 
 
 def _spread(grid: TriGrid, words: np.ndarray) -> np.ndarray:
@@ -259,9 +273,11 @@ def compress(grid: TriGrid, sets: np.ndarray, axis: int, side: str) -> np.ndarra
 
     def kernel(words):
         masks = _row_masks(grid)
-        if axis == 2 and side == "left":  # a shift by 64 gives 0, so 0 - 1 fills a full row
-            filled = (np.uint64(1) << np.bitwise_count(words)) - np.uint64(1)
-        elif axis == 2:  # the scalar m ^ m >> c; a shift by 64 gives 0, so a full row works
+        # A shift by the row word's width gives 0, so both axis-2 rules fill a full row.
+        one = words.dtype.type(1)
+        if axis == 2 and side == "left":  # 0 - 1 for a full row
+            filled = (one << np.bitwise_count(words)) - one
+        elif axis == 2:  # the scalar m ^ m >> c
             filled = masks ^ masks >> np.bitwise_count(words)
         elif side == "left":
             filled = _sort_columns(words)

@@ -7,12 +7,12 @@ interval {n-t-size+1, ..., n-t}.  An empty section compresses to the
 empty interval.
 
 Both work on the row words of a set (bit c of word r is vertex (c, r)),
-by the one rule that bulk.compress runs on uint64 arrays.  A 2-section
-is one row word, so it compresses to a run of popcount bits.  The
-1-sections are sorted down their columns by an odd-even transposition
-sort of the row words, which sorts every column at once; for the right
-side the rows are reversed around the sort, and each column's cells
-past the hypotenuse count as members.
+by the one rule that bulk.compress runs on numpy arrays of row words.
+A 2-section is one row word, so it compresses to a run of popcount
+bits.  The 1-sections are sorted down their columns by an odd-even
+transposition sort of the row words, which sorts every column at once;
+for the right side the rows are reversed around the sort, and each
+column's cells past the hypotenuse count as members.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import operator
 from bisect import bisect_right
+from collections.abc import Mapping, Set
 from typing import Iterable, Iterator, NamedTuple
 
 # The largest grid order: the bit masks of T_n take about n^2 log n bits
@@ -116,7 +117,12 @@ class TriGrid:
     def _vertex(self, v) -> tuple[int, int]:
         """The one pair decoder, for API and JSON input alike: a vertex as a
         pair of ints.  A non-pair, a coordinate that as_int refuses and a
-        pair off the grid raise ValueError."""
+        pair off the grid raise ValueError.  Sets and mappings are refused
+        as non-pairs: their order is not v1 then v2 (a dict unpacks to its
+        keys)."""
+        t = type(v)
+        if t is not tuple and t is not list and t is not Coord and isinstance(v, (Set, Mapping)):
+            raise ValueError(f"expected a [v1, v2] pair, got {v!r}")
         try:
             v1, v2 = v
         except (TypeError, ValueError):

@@ -29,7 +29,7 @@ _CHUNK_BITS = 16  # width of _scan_range's union table: 2^16 ids per spread_bits
 # block's draw ends on a whole 64-bit output: the blocks draw exactly the
 # sets, and leave the generator state, of one draw of all samples, and no
 # block starts on a buffered half, which would take the 32-bit draw.
-_SAMPLE_BLOCK = 4 * bulk._BLOCK
+_SAMPLE_BLOCK = 16384
 
 
 @dataclass

@@ -28,12 +28,13 @@ def _sets(g, rng):
     return masks
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 20, 30, 63])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 15, 16, 20, 30, 31, 32, 63])
 def test_sizes_and_compress_match_scalar(n):
     # Up to T_9 a set is one word and the sizes come from spread_bits,
     # whose network gains a stage at n = 2, 3, 5 and 9.  Rows of T_10 and
-    # beyond straddle 64-bit words of the dense ids; row 0 of T_63 fills
-    # a whole word.
+    # beyond straddle 64-bit words of the dense ids.  The row words widen
+    # from uint8 to uint16 at n = 8, to uint32 at n = 16 and to uint64 at
+    # n = 32, so at n = 7, 15, 31 and 63 row 0 fills a whole row word.
     g = TriGrid(n)
     rows = _sets(g, np.random.default_rng(n))
     sets = set_words(g, rows)
@@ -51,6 +52,48 @@ def test_sizes_and_compress_match_scalar(n):
             # scalar and bulk share an algorithm, so both face the oracle too
             want = [compress_oracle(g, VertexSet.from_bits(g, b), axis, side) for b in rows]
             assert out == [g.set_of(w).bits for w in want]
+
+
+@pytest.mark.parametrize(
+    "n, dtype",
+    [(7, np.uint8), (8, np.uint16), (15, np.uint16), (16, np.uint32), (31, np.uint32),
+     (32, np.uint64), (63, np.uint64)],
+)
+def test_row_words_take_the_narrowest_type_a_row_fits(n, dtype):
+    g = TriGrid(n)
+    words = bulk._row_words(g, bulk.random_subsets(g, 3, np.random.default_rng(n)))
+    assert words.dtype == dtype and words.shape == (n + 1, 3)
+    assert bulk._row_masks(g).dtype == dtype
+
+
+@pytest.mark.parametrize("n", [9, 20])
+def test_batch_results_do_not_depend_on_the_block_size(n, monkeypatch):
+    # Two full blocks and three sets over, run once with the blocks as
+    # they are and once in blocks of 7 sets; the sets on either side of
+    # each block edge also face the scalar operators.
+    g = TriGrid(n)
+    sets = bulk.random_subsets(g, 2 * bulk._BLOCK + 3, np.random.default_rng(n))
+    ops = {
+        "boundary": (bulk.boundary_sizes, lambda a: len(boundary(g, a))),
+        "neighborhood": (bulk.neighborhood_sizes, lambda a: len(neighborhood(g, a))),
+        **{
+            (axis, side): (
+                lambda g, sets, axis=axis, side=side: bulk.compress(g, sets, axis, side),
+                lambda a, axis=axis, op=op: op(g, a, axis).bits,
+            )
+            for axis in (1, 2)
+            for side, op in SIDES.items()
+        },
+    }
+    edges = [i for e in (7, bulk._BLOCK, 2 * bulk._BLOCK) for i in (e - 1, e)] + [len(sets) - 1]
+    rows = [VertexSet.from_bits(g, b) for b in bulk.pack_rows(sets[edges])]
+    wide = {key: batch(g, sets) for key, (batch, _) in ops.items()}
+    monkeypatch.setattr(bulk, "_BLOCK", 7)
+    for key, (batch, scalar) in ops.items():
+        out = wide[key]
+        assert np.array_equal(batch(g, sets), out), key
+        at_edges = list(out[edges]) if out.ndim == 1 else bulk.pack_rows(out[edges])
+        assert at_edges == [scalar(a) for a in rows], key
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -470,6 +470,30 @@ def test_from_pairs_refuses_entries_the_direct_path_skips(entry, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "v",
+    [{1, 2}, {2, 0}, frozenset({0, 1}), {0: "a", 2: "b"}, {1: 0, 0: 0}, {1: 0, 2: 0}.keys()],
+    ids=repr,
+)
+def test_unordered_containers_are_not_vertex_pairs(v):
+    g = TriGrid(3)
+    message = f"^{re.escape(f'expected a [v1, v2] pair, got {v!r}')}$"
+    for call in (g.index, g.check, lambda v: VertexSet(g, [v])):
+        with pytest.raises(ValueError, match=message):
+            call(v)
+    assert not g.contains(v)
+
+
+@pytest.mark.parametrize("wrap", [np.array, lambda p: (np.int64(p[0]), np.uint8(p[1]))])
+def test_numpy_pairs_still_name_vertices(wrap):
+    # Lists, tuples and Coords are covered by the direct-path test below.
+    g = TriGrid(3)
+    for pair in [(1, 2), (2, 0), (0, 1)]:
+        v = wrap(pair)
+        assert g.index(v) == g.index(pair) and g.check(v) == pair and g.contains(v)
+        assert VertexSet(g, [v]).to_pairs() == [list(pair)]
+
+
 @pytest.mark.parametrize("wrap", [list, tuple, Coord._make])
 def test_vertex_set_direct_path_matches_index(wrap):
     g = TriGrid(3)
