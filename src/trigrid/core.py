@@ -293,7 +293,7 @@ class VertexSet:
     def from_bits(cls, grid: TriGrid, bits: int) -> "VertexSet":
         if type(bits) is not int:  # as_int's fast path: from_bits runs on every step
             bits = as_int(bits, "bitmask")
-        if bits & ~grid.full_mask:
+        if bits >> grid.vertex_count:  # O(1) in range; nonzero for any negative int
             raise ValueError("bitmask has bits outside the grid")
         vs = cls.__new__(cls)
         vs.grid = grid

@@ -316,8 +316,21 @@ def lower_bound_certificate(grid: TriGrid, m: int) -> bool:
     for every size s with i < s < i + m; an empty window certifies
     vacuously (m = 0 always does).  Soundness rests on the boundary
     inequality, so only packing minima are consulted, never enumeration.
+
+    The window is read at its two ends only, since packing_min rises and
+    then falls over 1..V.  With T(n) = triangular(n),
+    initial_segment_boundary_size does not decrease on [1, T(n)] and
+    decreases on [T(n) + 1, V]; final_segment_boundary_size increases on
+    [1, n] and does not increase on [n + 1, V].  A function that does not
+    decrease up to some size and does not increase after it takes its
+    least value over any run of sizes at one of the run's ends, so each
+    closed form does, and so does their minimum.  The window's least
+    packing minimum is therefore at its first or its last size, and the
+    verdict is the all-sizes one.
     """
     n = grid.n
     m = as_int(m, "certificate budget", 0, n + 1)
+    if m < 2:  # the window i < s < i + m is empty
+        return True
     i = triangular(n + 1) - triangular(m)
-    return all(packing_minimum(grid, s) >= m for s in range(i + 1, i + m))
+    return all(packing_minimum(grid, s) >= m for s in {i + 1, i + m - 1})

@@ -332,10 +332,18 @@ def claim_check(trace: LionTrace) -> bool:
     """Lockstep containment of cleared sets: cleared-by-lions is always
     inside cleared-by-coupled-search, equivalently every post-search dirty
     set stays inside the contaminated set.  Holds for any legal trace,
-    winning or not."""
+    winning or not.  A trace whose contaminated list is not one set per
+    state raises ValueError, as coupled_searches does for occupancy."""
     grid = trace.grid
+    searches = coupled_searches(trace)
+    if len(trace.contaminated) != len(trace.positions):
+        raise ValueError(
+            f"trace has {len(trace.contaminated)} contaminated sets"
+            f" for {len(trace.positions)} states;"
+            " build it with LionTrace.from_moves"
+        )
     dirty = grid.full_mask
-    for search, cont in zip(coupled_searches(trace), trace.contaminated):
+    for search, cont in zip(searches, trace.contaminated):
         post = dirty & ~search.bits
         if post & ~cont.bits:
             return False
@@ -385,10 +393,17 @@ def _lion_solver(grid: TriGrid):
     and the symmetry images) are built here once, for every lion count;
     each call keeps its own per-placement caches and frees them on return.
 
-    - Moves: every simultaneous move product, swaps and stacking
-      included.  Each sorted placement's products are tabulated on first
-      use, grouped by sorted destinations: (destinations, occupancy,
-      their symmetry images, the distinct _fixups tuples of the group).
+    - Moves: every simultaneous move, swaps and stacking included.  The
+      lions on one vertex are interchangeable, so each occupied vertex
+      sends a multiset of its options (combinations_with_replacement),
+      and a placement's moves are the products of those multisets.
+      Swapping two stacked lions' destinations changes neither the sorted
+      destinations nor the moves' (from, to) multiset, which is all
+      _fixups reads, so each group below gets the fix-up set that every
+      ordered product would give.  Each sorted placement's moves are
+      tabulated on first use, grouped by sorted destinations:
+      (destinations, occupancy, their symmetry images, the distinct
+      _fixups tuples of the group).
       A state spreads its contamination once, and each product settles
       that one spread with _settle, the rule _contaminate plays.  A
       product that leaves nothing contaminated wins.
@@ -425,7 +440,13 @@ def _lion_solver(grid: TriGrid):
             out = products.get(pos)
             if out is None:
                 groups: dict[tuple, set] = {}
-                for dests in itertools.product(*(options[p] for p in pos)):
+                stacks = Counter(pos)  # pos is sorted, so stacks keeps its id order
+                choices = [
+                    itertools.combinations_with_replacement(options[p], c)
+                    for p, c in stacks.items()
+                ]
+                for parts in itertools.product(*choices):
+                    dests = sum(parts, ())
                     fix = _fixups(zip(pos, dests), _mask(dests), nbr.__getitem__)
                     groups.setdefault(tuple(sorted(dests)), set()).add(pool.setdefault(fix, fix))
                 out = products[pos] = [

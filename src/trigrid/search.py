@@ -224,11 +224,19 @@ def _three_stage_searches(grid: TriGrid) -> tuple[int, list[VertexSet]]:
         emit(grid.full_mask)
         return k, searches
 
+    offs = grid._row_offset
+
     def row_phase(row):
-        # Turn j searches the still-dirty suffix of the row and a growing
-        # prefix of the row below; the final turn covers that row entirely.
-        for j in range(1, n - row + 2):
-            emit(_row_window(grid, row, j - 1, n - row) | _row_window(grid, row - 1, 0, j))
+        # Turn j searches the still-dirty suffix of the row (columns
+        # j - 1..n - row) and a growing prefix of the row below (columns
+        # 0..j); the final turn covers that row entirely.  Each turn's
+        # suffix drops its lowest bit and the prefix gains one on top.
+        suffix = grid._row_mask[row] << offs[row]
+        prefix = 3 << offs[row - 1]
+        for _ in range(n - row + 1):
+            emit(suffix | prefix)
+            suffix &= suffix - 1
+            prefix |= prefix << 1
 
     if k >= n + 2:
         for row in range(n, 0, -1):
@@ -243,15 +251,15 @@ def _three_stage_searches(grid: TriGrid) -> tuple[int, list[VertexSet]]:
     # down column q from y=q to y=0; R_m is the left q-prefix of row q+1-m.
     chain = [grid.index((2 * q + 1 - j, q)) for j in range(1, q + 1)]
     chain += [grid.index((q, q - t)) for t in range(q + 1)]
+    r_j = _row_window(grid, q, 0, q - 1)
     for j in range(1, q + 1):
         window = 0
         for i in chain[j - 1 : j + q + 1]:
             window |= 1 << i
-        r_j = _row_window(grid, q + 1 - j, 0, q - 1)
         r_next = _row_window(grid, q - j, 0, q - 1)
         emit(window | r_j | r_next)
+        r_j = r_next
 
-    offs = grid._row_offset
     for col in range(q, n):
         # Mirror of a row phase: shrink down the column while searching a
         # growing top prefix of the next column, one bit each per turn.

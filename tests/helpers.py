@@ -10,7 +10,7 @@ import tracemalloc
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
-from trigrid import Coord, TriGrid, VertexSet
+from trigrid import Coord, TriGrid, VertexSet, packing_minimum
 
 
 def drawn_edges(grid: TriGrid) -> set[frozenset]:
@@ -111,6 +111,14 @@ def segment_oracle(grid: TriGrid, k: int, kind: str) -> set:
 
 def random_vertex_set(grid: TriGrid, rng) -> VertexSet:
     return VertexSet.from_bits(grid, rng.getrandbits(grid.vertex_count))
+
+
+def certificate_oracle(grid: TriGrid, m: int) -> bool:
+    """The window certificate read at every size of its window: the
+    packing minimum is at least m at each size s with i < s < i + m,
+    i = (m + 1) + ... + (n + 1) = |V| - (1 + ... + m)."""
+    i = grid.vertex_count - m * (m + 1) // 2
+    return all(packing_minimum(grid, s) >= m for s in range(i + 1, i + m))
 
 
 def search_clearable_oracle(grid: TriGrid, m: int) -> bool:

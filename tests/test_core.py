@@ -110,6 +110,17 @@ def test_grid_order_reads_numpy_integers_as_ints():
     assert g == TriGrid(3) and type(g.n) is int
 
 
+@pytest.mark.parametrize("n", [3, 1000])
+def test_from_bits_refuses_bits_outside_the_grid(n):
+    g = TriGrid(n)
+    nv = g.vertex_count
+    for bad in (-1, -(1 << 70), 1 << nv, g.full_mask + 1):
+        with pytest.raises(ValueError, match="bitmask has bits outside the grid"):
+            VertexSet.from_bits(g, bad)
+    full = VertexSet.from_bits(g, g.full_mask)
+    assert full.bits == g.full_mask and len(full) == nv
+
+
 def test_from_bits_reads_numpy_integers_as_ints():
     a = VertexSet.from_bits(G3, np.uint64(5))
     assert a == VertexSet.from_bits(G3, 5) and type(a.bits) is int

@@ -24,6 +24,7 @@ from trigrid.isoperimetry import _scan_range
 from helpers import (
     all_subsets,
     boundary_oracle,
+    certificate_oracle,
     interior_boundary_oracle,
     neighborhood_oracle,
     traced_peak,
@@ -356,3 +357,36 @@ def test_certificate_window_uses_packing_minimum():
     assert lower_bound_certificate(g, 3) == all(
         packing_minimum(g, s) >= 3 for s in (10, 11)
     )
+
+
+def test_certificate_equals_the_all_sizes_window_scan():
+    # The certificate reads its window only at the two ends; the oracle
+    # reads every size.
+    for n in [*range(1, 121), 200, 333]:
+        g = TriGrid(n)
+        for m in range(n + 2):
+            assert lower_bound_certificate(g, m) == certificate_oracle(g, m), (n, m)
+
+
+def test_certificate_reads_only_the_window_ends(monkeypatch):
+    calls = []
+    real = isoperimetry.packing_minimum
+
+    def counted(g, k):
+        calls.append(k)
+        return real(g, k)
+
+    monkeypatch.setattr(isoperimetry, "packing_minimum", counted)
+    g = TriGrid(1000)
+    for m in range(g.n + 2):
+        calls.clear()
+        lower_bound_certificate(g, m)
+        i = g.vertex_count - m * (m + 1) // 2
+        assert set(calls) <= {i + 1, i + m - 1} and len(set(calls)) == len(calls), m
+        assert bool(calls) == (m >= 2), m
+
+
+@pytest.mark.parametrize("n, lower", [(200, 142), (500, 355), (1000, 708)])
+def test_certified_lower_at_large_orders(n, lower):
+    g = TriGrid(n)
+    assert max(m for m in range(n + 2) if lower_bound_certificate(g, m)) == lower

@@ -299,6 +299,19 @@ def test_coupling_refuses_a_trace_without_occupancy():
                 couple(trace)
 
 
+def test_claim_check_refuses_a_contaminated_list_out_of_step():
+    g = TriGrid(3)
+    tr = column_sweep_strategy(g)
+    assert claim_check(tr)
+    j = len(tr.contaminated) // 2
+    planted = tr.contaminated[:j] + [g.empty_set()] + tr.contaminated[j + 1:]
+    assert not claim_check(dataclasses.replace(tr, contaminated=planted))
+    states = len(tr.positions)
+    for cont in ([], tr.contaminated[:1], planted[:j]):
+        with pytest.raises(ValueError, match=f"{len(cont)} contaminated sets for {states} states"):
+            claim_check(dataclasses.replace(tr, contaminated=cont))
+
+
 def test_trace_without_replayed_states_refuses_to_report():
     bare = LionTrace(TriGrid(2), (Coord(0, 0),), [])
     for report in (LionTrace.is_winning, claim_check, coupled_searches, couple_to_search):
@@ -482,25 +495,44 @@ def _canonical(g, pos, cont):
     return min(imgs, key=lambda s: (s[1], s[0]))
 
 
+def _assert_successors_match_turn_oracle(g, expand, pos, cont):
+    """expand((pos, cont)) against every ordered move product of the lions,
+    each played by lion_turn_oracle and reduced to its canonical image."""
+    adj = adjacency_oracle(g)
+    coords = [tuple(g.coord(p)) for p in pos]
+    cont_coords = {tuple(g.coord(i)) for i in _ids(cont)}
+    expected = set()
+    for dests in itertools.product(*([p] + sorted(adj[p]) for p in coords)):
+        new = lion_turn_oracle(g, coords, dests, cont_coords)
+        bits = sum(1 << g.index(v) for v in new)
+        expected.add(_canonical(g, tuple(sorted(g.index(d) for d in dests)), bits))
+    succ = expand((pos, cont))
+    if any(c == 0 for _, c in expected):
+        assert succ is None
+    else:
+        assert set(succ) == expected
+
+
 @pytest.mark.parametrize("n, lions", [(1, 2), (2, 3), (3, 2), (4, 2)])
 def test_solver_successors_match_turn_oracle(monkeypatch, n, lions):
     g = TriGrid(n)
-    adj = adjacency_oracle(g)
     expand, states = _solver_expand(monkeypatch, g, lions)
     rng = random.Random(n * 10 + lions)
     for pos, cont in rng.sample(states, min(40, len(states))):
-        coords = [tuple(g.coord(p)) for p in pos]
-        cont_coords = {tuple(g.coord(i)) for i in _ids(cont)}
-        expected = set()
-        for dests in itertools.product(*([p] + sorted(adj[p]) for p in coords)):
-            new = lion_turn_oracle(g, coords, dests, cont_coords)
-            bits = sum(1 << g.index(v) for v in new)
-            expected.add(_canonical(g, tuple(sorted(g.index(d) for d in dests)), bits))
-        succ = expand((pos, cont))
-        if any(c == 0 for _, c in expected):
-            assert succ is None
-        else:
-            assert set(succ) == expected
+        _assert_successors_match_turn_oracle(g, expand, pos, cont)
+
+
+@pytest.mark.parametrize("n, lions", [(2, 3), (3, 2)])
+def test_stacked_placements_match_turn_oracle(monkeypatch, n, lions):
+    # The solver sends a multiset of options from each occupied vertex, so
+    # only placements that stack lions on one id enumerate differently
+    # from the ordered product; check every such state it expanded.
+    g = TriGrid(n)
+    expand, states = _solver_expand(monkeypatch, g, lions)
+    stacked = [(pos, cont) for pos, cont in states if len(set(pos)) < len(pos)]
+    assert stacked
+    for pos, cont in stacked:
+        _assert_successors_match_turn_oracle(g, expand, pos, cont)
 
 
 @pytest.mark.parametrize("n", [3, 4])

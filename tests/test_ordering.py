@@ -141,6 +141,20 @@ def test_packing_minimum_of_large_orders():
     assert max(m for m in range(202) if lower_bound_certificate(TriGrid(200), m)) == 142
 
 
+def test_closed_forms_rise_then_fall():
+    # lower_bound_certificate reads each window at its ends only, because
+    # both closed forms rise up to a peak size and fall after it: T(n) for
+    # initial segments, n for final segments.
+    for n in [*range(1, 41), 120, 333]:
+        g = TriGrid(n)
+        peaks = ((initial_segment_boundary_size, triangular(n)), (final_segment_boundary_size, n))
+        for f, peak in peaks:
+            vals = [f(g, k) for k in range(1, g.vertex_count + 1)]  # vals[k - 1] is size k
+            steps = [b - a for a, b in zip(vals, vals[1:])]  # steps[k - 1]: size k to k + 1
+            assert min(steps[: peak - 1], default=0) >= 0, (n, f.__name__)
+            assert max(steps[peak - 1 :], default=0) <= 0, (n, f.__name__)
+
+
 def test_closed_form_examples():
     assert initial_segment_boundary_size(TriGrid(3), 4) == 4
     assert initial_segment_boundary_size(TriGrid(2), 2) == 3
