@@ -179,23 +179,6 @@ def verify_trace(grid: TriGrid, trace: SearchTrace) -> bool:
     return not dirty
 
 
-def _row_window(grid: TriGrid, row: int, lo: int, hi: int) -> int:
-    """Columns lo..hi of a row, clipped to the grid: one shifted run of bits."""
-    lo, hi = max(lo, 0), min(hi, grid.n - row)
-    if hi < lo:
-        return 0
-    return ((1 << (hi - lo + 1)) - 1) << (grid._row_offset[row] + lo)
-
-
-def _col_window(grid: TriGrid, col: int, lo: int, hi: int) -> int:
-    """Rows lo..hi of a column, clipped to the grid, as a mask."""
-    offs = grid._row_offset
-    bits = 0
-    for y in range(max(lo, 0), min(hi, grid.n - col) + 1):
-        bits |= 1 << (offs[y] + col)
-    return bits
-
-
 def three_stage_strategy(grid: TriGrid) -> SearchTrace:
     """The three-stage sweep as a replayed SearchTrace (see _three_stage_searches)."""
     return SearchTrace.from_searches(grid, *_three_stage_searches(grid))
@@ -205,28 +188,25 @@ def _three_stage_searches(grid: TriGrid) -> tuple[int, list[VertexSet]]:
     """(budget, searches): the budgeted clearing schedule with
     k = ceil(3n/4) + 2 per turn, not replayed.
 
-    Stage 1 fully clears rows n down to n-k+3, one row per phase, sliding
-    a window across the row and a guard prefix of the row below.  Stage 2
-    clears columns 0..n-k+1 with an L-shaped window plus two row prefixes
-    per turn.  Stage 3 clears the remaining columns left to right, the
-    mirror of stage 1.  Small orders collapse: when k >= n+2 row sweeps
-    alone clear the grid, since the last turn of row 1's phase searches
-    all of row 0; when k >= |V| a single search clears.
+    With q = n - k + 2 = floor(n/4), stage 1 fully clears rows n down to
+    q + 1, one row per phase, sliding a window across the row and a guard
+    prefix of the row below.  Stage 2 clears columns 0..q-1 with an
+    L-shaped window plus two row prefixes per turn.  Stage 3 clears the
+    remaining columns left to right, the mirror of stage 1.  Orders 1-3 have
+    q = 0 and run only the row phases: the last turn of row 1's phase
+    searches all of row 0, so the grid is clear (at n = 1 that one turn
+    is the whole grid).
     """
     n = grid.n
     k = sweep_budget(n)
+    q = n - k + 2
+    offs = grid._row_offset
     searches: list[VertexSet] = []
 
     def emit(bits):
         searches.append(VertexSet.from_bits(grid, bits))
 
-    if k >= grid.vertex_count:
-        emit(grid.full_mask)
-        return k, searches
-
-    offs = grid._row_offset
-
-    def row_phase(row):
+    for row in range(n, q, -1):
         # Turn j searches the still-dirty suffix of the row (columns
         # j - 1..n - row) and a growing prefix of the row below (columns
         # 0..j); the final turn covers that row entirely.  Each turn's
@@ -237,34 +217,26 @@ def _three_stage_searches(grid: TriGrid) -> tuple[int, list[VertexSet]]:
             emit(suffix | prefix)
             suffix &= suffix - 1
             prefix |= prefix << 1
-
-    if k >= n + 2:
-        for row in range(n, 0, -1):
-            row_phase(row)
+    if q == 0:
         return k, searches
 
-    q = n - k + 2  # first column stage 2 leaves for stage 3
-    for row in range(n, q, -1):
-        row_phase(row)
-
     # Stage 2: the L-chain runs along row q from x=2q down to x=q+1, then
-    # down column q from y=q to y=0; R_m is the left q-prefix of row q+1-m.
-    chain = [grid.index((2 * q + 1 - j, q)) for j in range(1, q + 1)]
-    chain += [grid.index((q, q - t)) for t in range(q + 1)]
-    r_j = _row_window(grid, q, 0, q - 1)
+    # down column q from y=q to y=0.  Turn j searches chain cells j-1..j+q
+    # and R_j, R_j+1, where R_m is the left q-prefix of row q+1-m (it fits
+    # the row, as 2k >= n + 3).
+    chain = [offs[q] + x for x in range(2 * q, q, -1)]
+    chain += [offs[y] + q for y in range(q, -1, -1)]
+    run = (1 << q) - 1
     for j in range(1, q + 1):
-        window = 0
-        for i in chain[j - 1 : j + q + 1]:
-            window |= 1 << i
-        r_next = _row_window(grid, q - j, 0, q - 1)
-        emit(window | r_j | r_next)
-        r_j = r_next
+        window = sum(1 << i for i in chain[j - 1 : j + q + 1])
+        emit(window | run << offs[q + 1 - j] | run << offs[q - j])
 
+    # Stage 3, the mirror of a row phase: shrink down the column while
+    # searching a growing top prefix of the next column, one bit each per
+    # turn.  That prefix ends as the whole next column, the next phase's start.
+    nxt = sum(1 << (offs[y] + q) for y in range(n - q + 1))
     for col in range(q, n):
-        # Mirror of a row phase: shrink down the column while searching a
-        # growing top prefix of the next column, one bit each per turn.
-        here = _col_window(grid, col, 0, n - col)
-        nxt = 0
+        here, nxt = nxt, 0
         for row in range(n - col, 0, -1):
             nxt |= 1 << (offs[row - 1] + col + 1)
             emit(here | nxt)

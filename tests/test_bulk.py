@@ -69,8 +69,9 @@ def test_row_words_take_the_narrowest_type_a_row_fits(n, dtype):
 @pytest.mark.parametrize("n", [9, 20])
 def test_batch_results_do_not_depend_on_the_block_size(n, monkeypatch):
     # Two full blocks and three sets over, run once with the blocks as
-    # they are and once in blocks of 7 sets; the sets on either side of
-    # each block edge also face the scalar operators.
+    # they are and once in blocks of 1021 sets, which is not a multiple of
+    # 8 and leaves a last block of 51; the sets on either side of each
+    # block edge of both sizes also face the scalar operators.
     g = TriGrid(n)
     sets = bulk.random_subsets(g, 2 * bulk._BLOCK + 3, np.random.default_rng(n))
     ops = {
@@ -85,10 +86,12 @@ def test_batch_results_do_not_depend_on_the_block_size(n, monkeypatch):
             for side, op in SIDES.items()
         },
     }
-    edges = [i for e in (7, bulk._BLOCK, 2 * bulk._BLOCK) for i in (e - 1, e)] + [len(sets) - 1]
+    small = 1021
+    cuts = {*range(small, len(sets), small), bulk._BLOCK, 2 * bulk._BLOCK}
+    edges = [i for e in sorted(cuts) for i in (e - 1, e)] + [len(sets) - 1]
     rows = [VertexSet.from_bits(g, b) for b in bulk.pack_rows(sets[edges])]
     wide = {key: batch(g, sets) for key, (batch, _) in ops.items()}
-    monkeypatch.setattr(bulk, "_BLOCK", 7)
+    monkeypatch.setattr(bulk, "_BLOCK", small)
     for key, (batch, scalar) in ops.items():
         out = wide[key]
         assert np.array_equal(batch(g, sets), out), key

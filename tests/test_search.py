@@ -89,10 +89,11 @@ def test_three_stage_stage2_frame_t5():
     }
 
 
-# Digests of the sweep's searches.  Orders 1..12 cover the k >= |V|
-# (n = 1) and k >= n + 2 (n = 2, 3) collapses.  SWEEP_SEARCHES_SHA256 was
-# taken when the collapse stopped searching row 0 after the grid is clear;
-# SWEEP_SEARCHES_FROM_4_SHA256, over the orders that collapse does not
+# Digests of the sweep's searches.  Orders 1..12 cover orders 1-3, where
+# q = floor(n/4) = 0 and the row phases alone clear the grid (n = 1 in one
+# full-grid turn).  SWEEP_SEARCHES_SHA256 was taken when those orders
+# stopped searching row 0 after the grid is clear;
+# SWEEP_SEARCHES_FROM_4_SHA256, over the orders that change does not
 # reach, was taken before, from the schedule first built from coordinate
 # lists, so those orders are unchanged bit for bit.
 SWEEP_SEARCHES_SHA256 = "060050512750206369c8116d3023c0d18402f400858b27c8eb16d7e898e9f547"
@@ -113,11 +114,28 @@ def test_three_stage_searches_pinned():
     assert _searches_digest((*range(4, 13), 13, 29, 45, 60)) == SWEEP_SEARCHES_FROM_4_SHA256
 
 
+# Past n = 60: each order's "n budget" line, then each search's bits as
+# (V + 7) // 8 little-endian bytes, straight from the builder (no replay).
+SWEEP_SEARCHES_61_TO_120_AND_200_SHA256 = "d0c7d72b43d2d6e61620d5bc58b29634afa5574ee0ab2ae2062cc6e24a4aa1e3"
+
+
+def test_three_stage_searches_pinned_past_60():
+    h = hashlib.sha256()
+    for n in (*range(61, 121), 200):
+        grid = TriGrid(n)
+        budget, searches = search._three_stage_searches(grid)
+        width = (grid.vertex_count + 7) // 8
+        h.update(f"{n} {budget}\n".encode())
+        for s in searches:
+            h.update(s.bits.to_bytes(width, "little"))
+    assert h.hexdigest() == SWEEP_SEARCHES_61_TO_120_AND_200_SHA256
+
+
 def test_three_stage_never_searches_a_clear_grid():
     for n in range(1, 31):
         dirty = [d.bits for d in three_stage_strategy(TriGrid(n)).dirty_after]
         assert all(dirty[:-1]) and not dirty[-1], n
-    # The k >= n + 2 collapse: one turn per row-phase step, the last one clearing.
+    # Orders 2 and 3 (q = 0) run only the row phases: one turn per step, the last clearing.
     assert [len(d) for d in three_stage_strategy(TriGrid(2)).dirty_after] == [5, 3, 0]
     assert [len(d) for d in three_stage_strategy(TriGrid(3)).dirty_after] == [9, 8, 7, 5, 3, 0]
 
