@@ -13,7 +13,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys, tempfile
 import trigrid, trigrid.cli
 
 HEAVY = ("numpy", "concurrent.futures", "multiprocessing")
@@ -28,6 +28,11 @@ def run(*argv):
 state = {"bulk": "trigrid.bulk" in sys.modules, "import": loaded()}
 state["search simulate"] = (run("search", "simulate", "--n", "5"), loaded())
 state["lions exact"] = (run("lions", "exact", "--n", "2", "--max-l", "3"), loaded())
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "lions.json")
+    with open(path, "w") as f:
+        f.write(trigrid.column_sweep_strategy(trigrid.TriGrid(3)).to_json())
+    state["lions couple"] = (run("lions", "couple", "--trace", path), loaded())
 state["exhaustive"] = (
     run("verify-isoperimetry", "--n", "3", "--exhaustive"),
     "numpy" in sys.modules,
@@ -51,6 +56,7 @@ def test_cli_loads_numpy_only_for_batch_kernels():
     assert state["import"] == []
     assert state["search simulate"] == [0, []]
     assert state["lions exact"] == [0, []]
+    assert state["lions couple"] == [0, []]  # writes its search trace through to_json_obj
     assert state["exhaustive"] == [0, True]
 
 

@@ -296,6 +296,54 @@ def test_trace_writer_matches_json_dumps_on_coupled_and_edge_cases():
         assert trace.to_json() == _dumped(trace)
 
 
+def _block_edge_traces():
+    """Traces of block - 1, block, block + 1 and 2 * block + 1 turns on
+    grids whose V is a multiple of 8 (n = 14, 15) and not, with empty
+    searches first and last in a block, two across a block edge, and a
+    full-grid search."""
+    block = search._TRACE_BLOCK
+    rng = random.Random(29)
+    for n in (4, 13, 14, 15):
+        g = TriGrid(n)
+        nv = g.vertex_count
+        for turns in (block - 1, block, block + 1, 2 * block + 1):
+            searches = [
+                VertexSet.from_bits(g, rng.getrandbits(nv) & rng.getrandbits(nv))
+                for _ in range(turns)
+            ]
+            for t in (0, block - 1, block, 2 * block, turns - 1):
+                if t < turns:
+                    searches[t] = g.empty_set()
+            searches[turns // 3] = g.full_set()
+            yield SearchTrace.from_searches(g, nv, searches)
+
+
+def test_trace_writer_matches_json_dumps_across_block_edges():
+    assert (TriGrid(14).vertex_count, TriGrid(15).vertex_count) == (120, 136)
+    for trace in _block_edge_traces():
+        assert trace.to_json() == _dumped(trace), (trace.n, len(trace.searches))
+
+
+def test_trace_text_does_not_depend_on_the_block_size(monkeypatch):
+    traces = list(_block_edge_traces())
+    texts = [trace.to_json() for trace in traces]
+    monkeypatch.setattr(search, "_TRACE_BLOCK", 7)
+    assert [trace.to_json() for trace in traces] == texts
+
+
+@pytest.mark.parametrize("writer", ["to_json", "to_json_obj"])
+def test_trace_writers_refuse_a_set_of_another_grid(writer):
+    g, big = TriGrid(3), TriGrid(5)
+    foreign = [big.set_of([(5, 0)]), big.set_of([(0, 5)]), big.set_of([(0, 0)])]
+    for s in foreign:
+        for trace in (
+            SearchTrace(grid=g, budget=4, searches=[s]),
+            SearchTrace(grid=g, budget=4, searches=[g.empty_set()], dirty_after=[s]),
+        ):
+            with pytest.raises(ValueError, match="vertex set does not belong to this grid"):
+                getattr(trace, writer)()
+
+
 def test_trace_json_refuses_coercion():
     obj = json.loads(three_stage_strategy(TriGrid(2)).to_json())
     cases = (
