@@ -132,9 +132,11 @@ def exhaustive_min_boundary(
 
     Refuses n above the limit (default 5, hard cap 6: pass limit=6
     explicitly to accept the ~268M-subset run).  Larger orders should use
-    sampled_check instead.  workers is the number of shards the id range
-    is cut into; they run in a process pool of at most os.cpu_count()
-    processes, so a large workers value never starts more.
+    sampled_check instead.  The id range is cut into workers shards, but
+    never more than it has chunks of 2^_CHUNK_BITS ids, since each shard
+    rebuilds the chunk table (so n <= 4 scans in this process); they run
+    in a process pool of at most os.cpu_count() processes, so a large
+    workers value never starts more.
     """
     workers = as_int(workers, "workers", 1)
     cap = min(as_int(limit, "limit", 1), EXHAUSTIVE_HARD_LIMIT)
@@ -142,6 +144,7 @@ def exhaustive_min_boundary(
     what = f"exhaustive scan order (2^{nv} subsets; use sampled_check for larger orders)"
     n = as_int(grid.n, what, hi=cap)
     total = 1 << nv
+    workers = min(workers, -(-total >> _CHUNK_BITS))
     if workers > 1:
         import os
         from concurrent.futures import ProcessPoolExecutor

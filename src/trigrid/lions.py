@@ -26,7 +26,7 @@ from .core import (
     as_int,
     automorphism_id_permutations,
 )
-from .search import SearchTrace, TraceError, _close_array, _least, _reaches
+from .search import SearchTrace, TraceError, _least, _reaches
 
 EXACT_ORDER_LIMIT = 2
 _STEPS = frozenset(NEIGHBOR_OFFSETS)
@@ -94,16 +94,27 @@ def _contaminate(grid: TriGrid, cont: int, moves, occupied: int) -> int:
     return _settle(cont, cont | grid.spread_bits(cont), fixups, occupied)
 
 
-def _legal_moves(grid: TriGrid, positions: Sequence[Coord], turn) -> list[tuple[int, Coord]]:
-    """The (lion, destination) pairs of a turn that change a lion's vertex.
+def _turn(
+    grid: TriGrid, positions: tuple[Coord, ...], ids: list[int], here: Counter,
+    occupied: int, turn, cont: int,
+) -> tuple[tuple[Coord, ...], int, int]:
+    """Validate and play one turn: the new positions, occupancy bits and
+    contamination bits.
 
-    positions are the lions' checked vertices.  A lion index that as_int
-    refuses, is out of range or is named twice, a destination off the
-    grid and a move along a non-edge raise ValueError; a destination of
-    None or the lion's own vertex stays.
+    positions are the lions' checked vertices.  One loop checks each entry
+    and records its move: a lion index that as_int refuses, is out of
+    range or is named twice, a destination off the grid and a move along
+    a non-edge raise ValueError; a destination of None or the lion's own
+    vertex stays.  Only then, in O(moves), do ids (one per lion, in step
+    with positions), here (a Counter of the lions on each occupied id)
+    and the occupied bits change: a move sets its destination's bit and
+    clears the vertex it leaves once no lion is left there, so stacked
+    lions and swaps keep their vertices.
     """
+    moved = list(positions)
     named = set()
-    moves = []
+    movers = []
+    traversed = []
     for idx, dest in turn:
         idx = as_int(idx, "lion index", 0, len(positions) - 1)
         if idx in named:
@@ -117,36 +128,13 @@ def _legal_moves(grid: TriGrid, positions: Sequence[Coord], turn) -> list[tuple[
             continue
         if (dest.v1 - prev.v1, dest.v2 - prev.v2) not in _STEPS:
             raise ValueError(f"illegal lion move {tuple(prev)} -> {tuple(dest)}")
-        moves.append((idx, dest))
-    return moves
-
-
-def _turn(
-    grid: TriGrid, positions: tuple[Coord, ...], ids: list[int], here: Counter,
-    occupied: int, turn, cont: int,
-) -> tuple[tuple[Coord, ...], int, int]:
-    """Validate and play one turn: the new positions, occupancy bits and
-    contamination bits.
-
-    Past validation the turn copies the positions once and otherwise runs
-    on dense ids in O(moves): ids (one per lion, in step with positions)
-    and here (a Counter of the lions on each occupied id) are updated in
-    place, and occupied and cont are bitmasks.
-    Occupancy changes only at the moves' ends: each destination is set,
-    and a vacated vertex is cleared only when no lion is left on it, so
-    stacked lions and swaps keep their vertices.
-    """
-    moves = _legal_moves(grid, positions, turn)
-    moved = list(positions)
-    traversed = []
-    for idx, dest in moves:
         moved[idx] = dest
-        a, b = ids[idx], _id(grid, dest)
-        traversed.append((a, b))
+        movers.append(idx)
+        traversed.append((ids[idx], _id(grid, dest)))
+    for idx, (a, b) in zip(movers, traversed):
         ids[idx] = b
         here[a] -= 1
         here[b] += 1
-    for a, b in traversed:
         occupied |= 1 << b
         if not here[a]:
             occupied &= ~(1 << a)
@@ -243,34 +231,33 @@ class LionTrace:
         """json.dumps(to_json_obj(), sort_keys=True, indent=2) plus a newline.
 
         The text is written directly, as SearchTrace.to_json writes its
-        own, because indent makes json use its pure-Python encoder.  A
-        plain int is written as str gives it; any other lion index or
-        coordinate goes through json.dumps, so a value json refuses, such
-        as a numpy integer, raises the same TypeError.
+        own, because indent makes json use its pure-Python encoder: one
+        string per move, per turn and per start vertex, joined into their
+        arrays.  A plain int is written as str gives it; any other lion
+        index or coordinate goes through json.dumps, so a value json
+        refuses, such as a numpy integer, raises the same TypeError.
         """
         def num(x) -> str:
             return str(x) if type(x) is int else json.dumps(x)
 
-        out = ['{\n  "lions": ', str(self.lions), ',\n  "moves": [']
+        def array(items: list[str], indent: str) -> str:
+            return "[" + ",".join(items) + "\n" + indent + "]" if items else "[]"
+
+        turns = []
         for turn in self.turns:
-            out.append("\n    [")
+            moves = []
             for idx, dest in turn:
-                out += ("\n      [\n        ", num(idx), ",\n        ")
-                if dest is None:
-                    out.append("null")
-                else:
-                    d1, d2 = num(dest[0]), num(dest[1])
-                    out.append(f"[\n          {d1},\n          {d2}\n        ]")
-                out += ("\n      ]", ",")
-            _close_array(out, "    ")
-            out.append(",")
-        _close_array(out, "  ")
-        out += (',\n  "n": ', str(self.n), ',\n  "start": [')
-        for v in self.start:
-            out += (f"\n    [\n      {num(v.v1)},\n      {num(v.v2)}\n    ]", ",")
-        _close_array(out, "  ")
-        out.append("\n}\n")
-        return "".join(out)
+                idx = num(idx)  # before dest, in the order json.dumps reads them
+                to = "null"
+                if dest is not None:
+                    to = f"[\n          {num(dest[0])},\n          {num(dest[1])}\n        ]"
+                moves.append(f"\n      [\n        {idx},\n        {to}\n      ]")
+            turns.append("\n    " + array(moves, "    "))
+        start = [f"\n    [\n      {num(v.v1)},\n      {num(v.v2)}\n    ]" for v in self.start]
+        return (
+            f'{{\n  "lions": {self.lions},\n  "moves": {array(turns, "  ")},'
+            f'\n  "n": {self.n},\n  "start": {array(start, "  ")}\n}}\n'
+        )
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LionTrace":

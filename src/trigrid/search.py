@@ -68,12 +68,9 @@ class SearchTrace:
     def from_searches(
         cls, grid: TriGrid, budget: int, searches: list[VertexSet]
     ) -> "SearchTrace":
-        trace = cls(grid=grid, budget=budget, searches=list(searches))
-        trace.dirty_after = trace.replay()
-        return trace
-
-    def replay(self) -> list[VertexSet]:
-        return [VertexSet.from_bits(self.grid, d) for d in _dirty_states(self.grid, self.searches)]
+        searches = list(searches)
+        dirty_after = [VertexSet.from_bits(grid, d) for d in _dirty_states(grid, searches)]
+        return cls(grid, budget, searches, dirty_after)
 
     def max_search_size(self) -> int:
         return max((len(s) for s in self.searches), default=0)
@@ -324,10 +321,13 @@ def _budget_solver(grid: TriGrid):
 
     Forward BFS over dirty states from full.  Only search sets S inside
     the dirty set matter, and enlarging S never hurts, so successors use
-    exactly min(m, |dirty|) searched vertices.  States are deduplicated
-    up to the 6 triangle symmetries; successors containing their parent
-    are dropped (the parent already dominates them).  The spread and
-    symmetry tables are built here once, for every budget.
+    exactly m searched vertices: every expanded state has more than m
+    dirty vertices, since the start state has all V > m (m >= V returns
+    first) and a successor with at most m ends the search before it is
+    kept.  States are deduplicated up to the 6 triangle symmetries;
+    successors containing their parent are dropped (the parent already
+    dominates them).  The spread and symmetry tables are built here
+    once, for every budget.
     """
     import numpy as np
 
@@ -352,8 +352,6 @@ def _budget_solver(grid: TriGrid):
 
         def expand(d):
             cand = combos[(combos & d) == combos]
-            if cand.size == 0:  # fewer than m dirty vertices: search them all
-                return None
             p = d & ~cand
             succ = p | spread_lo[p & lo_mask] | spread_hi[p >> lo]
             if (np.bitwise_count(succ) <= m).any():

@@ -143,6 +143,11 @@ def test_subsets_from_ids_refuses_ids_that_are_not_integers(ids):
         bulk.subsets_from_ids(TriGrid(2), ids)
 
 
+def test_subsets_from_ids_refuses_a_2d_array():
+    with pytest.raises(ValueError, match=r"^expected a 1-D array of subset ids, got shape \(1, 2\)$"):
+        bulk.subsets_from_ids(TriGrid(2), np.array([[1, 2]]))
+
+
 def test_subsets_from_ids_takes_integer_arrays_and_lists():
     g = TriGrid(2)
     for ids in ([1, 2], np.array([1, 2], dtype=np.int8), [np.uint64(1), 2], []):

@@ -226,6 +226,14 @@ def test_missing_trace_file_is_io_error(capsys):
     assert "error" in err
 
 
+def test_out_in_a_missing_directory_is_io_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "render.json"
+    code, out, err = run(capsys, "render", "--n", "2", "--out", str(path))
+    assert code == EXIT_IO and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert not path.parent.exists()
+
+
 def test_render_golden(capsys):
     code, out, _ = run(capsys, "render", "--n", "2", "--format", "ascii")
     assert code == EXIT_OK

@@ -110,6 +110,13 @@ def test_grid_order_reads_numpy_integers_as_ints():
     assert g == TriGrid(3) and type(g.n) is int
 
 
+def test_equal_grids_are_one_dict_key():
+    table = {TriGrid(3): "a"}
+    table[TriGrid(np.int64(3))] = "b"
+    assert table == {TriGrid(3): "b"} and TriGrid(4) not in table
+    assert repr(TriGrid(3)) == "TriGrid(3)"
+
+
 @pytest.mark.parametrize("n", [3, 1000])
 def test_from_bits_refuses_bits_outside_the_grid(n):
     g = TriGrid(n)

@@ -33,6 +33,23 @@ with tempfile.TemporaryDirectory() as tmp:
     with open(path, "w") as f:
         f.write(trigrid.column_sweep_strategy(trigrid.TriGrid(3)).to_json())
     state["lions couple"] = (run("lions", "couple", "--trace", path), loaded())
+    set_path = os.path.join(tmp, "a.json")
+    with open(set_path, "w") as f:
+        json.dump([[0, 0], [1, 1], [0, 2], [2, 0]], f)
+    state["packing"] = (run("packing", "--n", "4", "--k", "7", "--kind", "final"), loaded())
+    state["compress"] = (
+        run("compress", "--n", "3", "--axis", "1", "--side", "left", "--set", set_path),
+        loaded(),
+    )
+    state["lions simulate"] = (
+        run("lions", "simulate", "--n", "2", "--render", "--format", "ascii"),
+        loaded(),
+    )
+    state["render"] = (run("render", "--n", "4", "--set", set_path), loaded())
+state["search bounds"] = (
+    run("search", "bounds", "--n-max", "5", "--exact-up-to", "0"),
+    loaded(),
+)
 state["exhaustive"] = (
     run("verify-isoperimetry", "--n", "3", "--exhaustive"),
     "numpy" in sys.modules,
@@ -57,6 +74,8 @@ def test_cli_loads_numpy_only_for_batch_kernels():
     assert state["search simulate"] == [0, []]
     assert state["lions exact"] == [0, []]
     assert state["lions couple"] == [0, []]  # writes its search trace through to_json_obj
+    for command in ("packing", "compress", "lions simulate", "render", "search bounds"):
+        assert state[command] == [0, []], command
     assert state["exhaustive"] == [0, True]
 
 

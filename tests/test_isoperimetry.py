@@ -93,9 +93,9 @@ def test_exhaustive_sharded_merge_matches():
 
 
 def test_exhaustive_pool_capped_at_cpu_count(monkeypatch):
-    # workers is the shard count; the pool never holds more processes than
-    # CPUs.  A fake pool records its size and maps inline, so no real pool
-    # of 64 processes is ever started.
+    # workers caps the shard count; the pool never holds more processes
+    # than CPUs.  A fake pool records its size and maps inline, so no real
+    # pool of 64 processes is ever started.
     import concurrent.futures
     import os
 
@@ -114,11 +114,13 @@ def test_exhaustive_pool_capped_at_cpu_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    g = TriGrid(2)
+    g = TriGrid(5)
     want = exhaustive_min_boundary(g, workers=1).to_json_obj()
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     assert exhaustive_min_boundary(g, workers=64).to_json_obj() == want
     assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+    exhaustive_min_boundary(TriGrid(4), workers=64)  # 2^15 ids, one chunk
+    assert len(sizes) == 1  # so no pool is started
 
 
 # sha256 of json.dumps(exhaustive_min_boundary(T_n).to_json_obj(),

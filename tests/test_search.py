@@ -157,6 +157,11 @@ def test_verify_trace_refuses_a_non_trace(bad):
         verify_trace(TriGrid(2), bad)
 
 
+def test_verify_trace_refuses_a_trace_of_another_order():
+    with pytest.raises(TraceError, match="^trace order does not match grid$"):
+        verify_trace(TriGrid(3), three_stage_strategy(TriGrid(2)))
+
+
 def test_verify_trace_oversized_raises():
     g = TriGrid(2)
     tr = SearchTrace.from_searches(g, 2, [g.set_of([(0, 0), (1, 0), (0, 1)])])
