@@ -332,12 +332,9 @@ class VertexSet:
         for r, mask in enumerate(self.grid._row_mask):
             if not bits:
                 return
-            word = bits & mask
+            for c in _ids(bits & mask):
+                yield Coord(c, r)
             bits >>= mask.bit_length()
-            while word:
-                low = word & -word
-                yield Coord(low.bit_length() - 1, r)
-                word ^= low
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -421,7 +418,8 @@ def _set_bits(grid: TriGrid, a: VertexSet) -> int:
 
 
 def _ids(bits: int) -> list[int]:
-    """Dense ids of the members of a bitmask, ascending."""
+    """Positions of the set bits of a bitmask, ascending: the dense ids of
+    a set's members, or the columns of a row word's."""
     ids = []
     while bits:
         low = bits & -bits
@@ -470,10 +468,7 @@ def render_ascii(
         offset, mask = grid._row_offset[r], grid._row_mask[r]
         cells = [default] * (grid.n - r + 1)
         for bits, glyph in marks:
-            word = bits >> offset & mask
-            while word:
-                low = word & -word
-                cells[low.bit_length() - 1] = glyph
-                word ^= low
+            for c in _ids(bits >> offset & mask):
+                cells[c] = glyph
         lines.append(" ".join(cells))
     return "\n".join(lines) + "\n"

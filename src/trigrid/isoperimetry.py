@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from . import bulk
-from .core import TriGrid, VertexSet, as_int, csv_text
+from .core import TriGrid, VertexSet, _ids, as_int, csv_text
 from .ordering import (
+    final_segment,
     final_segment_boundary_size,
     initial_segment_boundary_size,
     packing_minimum,
@@ -92,28 +93,23 @@ def _scan_range(n: int, start: int, stop: int) -> tuple[list[int], list[int]]:
     np.minimum.reduceat, and |boundary(A)| = |N[A]| - |A| gives one least
     boundary per cardinality popcount(base) + g.  Only a group whose
     least beats the best so far is searched for a witness: its first hit,
-    the smallest counter there, as chunks run in ascending order.  Ids of
-    a partial chunk outside start..stop count as size 255, never least.
+    the smallest counter there, as chunks run in ascending order.  start
+    and stop are multiples of the chunk size, or stop is 2^V, so the
+    range is whole chunks.
     """
     import numpy as np
 
     grid = TriGrid(n)
     nv = grid.vertex_count
     counters, closed, edges = _closed_table(grid, range(min(nv, _CHUNK_BITS)))
-    size = len(closed)
     groups = np.arange(len(edges) - 1)
     best = np.full(nv + 1, nv + 1)
     witness = [0] * (nv + 1)
     union = np.empty_like(closed)
-    sizes = np.empty(size, dtype=np.uint8)
-    s = start
-    while s < stop:
-        base = s - s % size
-        e = min(base + size, stop)
+    sizes = np.empty(len(closed), dtype=np.uint8)
+    for base in range(start, stop, len(closed)):
         np.bitwise_or(closed, np.uint64(base | grid.spread_bits(base)), out=union)
         np.bitwise_count(union, out=sizes)
-        if e - s < size:
-            sizes[(counters < s - base) | (counters >= e - base)] = 255
         least = np.minimum.reduceat(sizes, edges[:-1])
         k = groups + base.bit_count()
         bound = least - k
@@ -121,7 +117,6 @@ def _scan_range(n: int, start: int, stop: int) -> tuple[list[int], list[int]]:
             lo, hi = edges[g], edges[g + 1]
             best[k[g]] = bound[g]
             witness[k[g]] = base + int(counters[lo + np.argmax(sizes[lo:hi] == least[g])])
-        s = e
     return best.tolist(), witness
 
 
@@ -132,11 +127,11 @@ def exhaustive_min_boundary(
 
     Refuses n above the limit (default 5, hard cap 6: pass limit=6
     explicitly to accept the ~268M-subset run).  Larger orders should use
-    sampled_check instead.  The id range is cut into workers shards, but
-    never more than it has chunks of 2^_CHUNK_BITS ids, since each shard
-    rebuilds the chunk table (so n <= 4 scans in this process); they run
-    in a process pool of at most os.cpu_count() processes, so a large
-    workers value never starts more.
+    sampled_check instead.  The id range is cut into at most workers
+    shards of whole 2^_CHUNK_BITS-id chunks, ceil(chunks / workers)
+    each, since each shard rebuilds the chunk table (so n <= 4, one
+    chunk, scans in this process); they run in a process pool of at most
+    os.cpu_count() processes, so a large workers value never starts more.
     """
     workers = as_int(workers, "workers", 1)
     cap = min(as_int(limit, "limit", 1), EXHAUSTIVE_HARD_LIMIT)
@@ -144,12 +139,13 @@ def exhaustive_min_boundary(
     what = f"exhaustive scan order (2^{nv} subsets; use sampled_check for larger orders)"
     n = as_int(grid.n, what, hi=cap)
     total = 1 << nv
-    workers = min(workers, -(-total >> _CHUNK_BITS))
+    chunks = -(-total >> _CHUNK_BITS)
+    workers = min(workers, chunks)
     if workers > 1:
         import os
         from concurrent.futures import ProcessPoolExecutor
 
-        shard = -(-total // workers)
+        shard = -(-chunks // workers) << _CHUNK_BITS
         ranges = [(n, s, min(s + shard, total)) for s in range(0, total, shard)]
         with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_scan_range, *zip(*ranges)))
@@ -276,10 +272,8 @@ def diagonal_segment_check(grid: TriGrid) -> DiagonalSegmentReport:
 
     n = as_int(grid.n, "diagonal check order", hi=DIAGONAL_CHECK_ORDER_LIMIT)
     nv = grid.vertex_count
-    diag_bits = 0
-    for v1 in range(n + 1):
-        diag_bits |= 1 << grid.index((v1, n - v1))
-    off_ids = [i for i in range(nv) if not diag_bits >> i & 1]
+    diag_bits = final_segment(grid, n + 1).bits  # level n: the last n + 1 ranks
+    off_ids = _ids(grid.full_mask ^ diag_bits)
     counters, closed, edges = _closed_table(grid, off_ids)
     cases = [
         ("avoid", 0, initial_segment_boundary_size),

@@ -96,8 +96,9 @@ class SearchTrace:
         becomes one token per search opening it (or "[]" when it is empty)
         and one per member, that vertex's [v1, v2] text from a table built
         once per call, with a comma, or with the closing bracket for the
-        last member.  One join runs over those tokens and the checksum
-        lines, so the call holds about one copy of the output.
+        last member.  Each checksum line is one token ending in its comma
+        too, so both arrays close by one rule.  One join runs over all the
+        tokens, so the call holds about one copy of the output.
         """
         import numpy as np
 
@@ -108,9 +109,16 @@ class SearchTrace:
         inner = np.array([p + "," for p in pair], dtype=object)
         last = np.array([p + "\n    ]," for p in pair], dtype=object)
         out = ['{\n  "budget": ', json.dumps(self.budget), ',\n  "dirty_checksums": [']
-        for d in self.dirty_after:
-            out += (f'\n    "{_set_bits(grid, d):0{hex_width}x}"', ",")
-        _close_array(out, "  ")
+
+        def close(items) -> None:
+            """The last item's comma becomes the array's close; no items is "[]"."""
+            if items:
+                out[-1] = out[-1][:-1] + "\n  ]"
+            else:
+                out.append("]")
+
+        out += [f'\n    "{_set_bits(grid, d):0{hex_width}x}",' for d in self.dirty_after]
+        close(self.dirty_after)
         out += (',\n  "n": ', str(self.n), ',\n  "searches": [')
         searches = self.searches
         for lo in range(0, len(searches), _TRACE_BLOCK):
@@ -130,10 +138,7 @@ class SearchTrace:
             full = ends[sizes > 0] - 1
             tokens[full + turn[full] + 1] = last[ids[full]]
             out += tokens.tolist()
-        if searches:  # the last search's comma becomes the array's close
-            out[-1] = out[-1][:-1] + "\n  ]"
-        else:
-            out.append("]")
+        close(searches)
         out.append("\n}\n")
         return "".join(out)
 
@@ -158,18 +163,6 @@ class SearchTrace:
             if len(stored) != len(trace.dirty_after):
                 raise TraceError("dirty checksum count does not match turn count")
         return trace
-
-
-def _close_array(out: list[str], indent: str) -> None:
-    """Close the indent=2 JSON array being written to out, at indent.
-
-    Each item was appended followed by a lone "," fragment; the last
-    one becomes the closing line.  An array with no items is "[]".
-    """
-    if out[-1] == ",":
-        out[-1] = "\n" + indent + "]"
-    else:
-        out.append("]")
 
 
 def verify_trace(grid: TriGrid, trace: SearchTrace) -> bool:

@@ -569,6 +569,24 @@ def test_render_ascii_layout():
         render_ascii(g2, [(TriGrid(3).set_of([(1, 0)]), "#")])
 
 
+def test_render_ascii_matches_frame_from_pairs():
+    # Three random overlapping layers on grids of more than one 64-bit
+    # word, drawn both ways up, against a frame filled from each layer's
+    # [v1, v2] pairs with the later layer winning.
+    rng = random.Random(13)
+    for n in (13, 30):
+        g = TriGrid(n)
+        layers = [(random_vertex_set(g, rng), glyph) for glyph in "RYL"]
+        frame = [["."] * (n - r + 1) for r in range(n + 1)]
+        for vset, glyph in layers:
+            for v1, v2 in vset.to_pairs():
+                frame[v2][v1] = glyph
+        lines = [" ".join(cells) for cells in frame]
+        for row_n_top, order in ((True, lines[::-1]), (False, lines)):
+            want = "\n".join(order) + "\n"
+            assert render_ascii(g, layers, row_n_top=row_n_top) == want
+
+
 def test_automorphisms_preserve_adjacency():
     for n in (1, 2, 4):
         g = TriGrid(n)

@@ -82,8 +82,8 @@ def test_exhaustive_refuses_large_orders():
 
 
 def test_exhaustive_sharded_merge_matches():
-    # n = 5 has 2^21 ids in 2^16-id chunks: the shard edges of 2 workers
-    # fall on a chunk boundary, those of 3 workers inside a chunk.
+    # n = 5 has 2^21 ids in 32 chunks of 2^16 ids: 2 workers take 16
+    # chunks each, 3 workers 11, 11 and 10.
     for n, workers in ((3, 3), (5, 2), (5, 3)):
         g = TriGrid(n)
         assert (
@@ -93,13 +93,15 @@ def test_exhaustive_sharded_merge_matches():
 
 
 def test_exhaustive_pool_capped_at_cpu_count(monkeypatch):
-    # workers caps the shard count; the pool never holds more processes
-    # than CPUs.  A fake pool records its size and maps inline, so no real
-    # pool of 64 processes is ever started.
+    # workers caps the shard count, and shards are whole 2^16-id chunks
+    # covering the id range in order; the pool never holds more processes
+    # than CPUs.  A fake pool records its size and the ranges it maps, and
+    # maps inline, so no real pool of 64 processes is ever started.
     import concurrent.futures
     import os
 
     sizes = []
+    shards = []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -112,15 +114,25 @@ def test_exhaustive_pool_capped_at_cpu_count(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            args = list(zip(*iterables))
+            shards.append([(start, stop) for _, start, stop in args])
+            return [fn(*a) for a in args]
 
     g = TriGrid(5)
     want = exhaustive_min_boundary(g, workers=1).to_json_obj()
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    assert exhaustive_min_boundary(g, workers=64).to_json_obj() == want
-    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+    for workers in (2, 3, 64):
+        assert exhaustive_min_boundary(g, workers=workers).to_json_obj() == want
+        ranges = shards[-1]
+        assert 1 < len(ranges) <= workers
+        edges = [e for r in ranges for e in r]
+        assert all(e % (1 << 16) == 0 for e in edges)
+        assert edges[0] == 0 and edges[-1] == 1 << 21
+        assert all(ranges[i][1] == ranges[i + 1][0] for i in range(len(ranges) - 1))
+        assert all(start < stop for start, stop in ranges)
+    assert len(sizes) == 3 and all(1 <= s <= (os.cpu_count() or 1) for s in sizes)
     exhaustive_min_boundary(TriGrid(4), workers=64)  # 2^15 ids, one chunk
-    assert len(sizes) == 1  # so no pool is started
+    assert len(sizes) == 3  # so no pool is started
 
 
 # sha256 of json.dumps(exhaustive_min_boundary(T_n).to_json_obj(),
@@ -142,17 +154,14 @@ def test_exhaustive_tables_pinned(n):
 
 
 def test_scan_range_off_chunk_edges_matches_scalar_scan():
-    # Id ranges of T_5 (2^16-id chunks): one that starts and ends inside
-    # chunks and spans a whole one, one inside a single chunk, a single
-    # id, and (0, 1000), whose unseen cardinalities keep V + 1 and
-    # witness 0.  T_2's table (2^6 ids) is smaller than a chunk.
+    # Whole-chunk id ranges, as exhaustive_min_boundary cuts them: two
+    # 2^16-id chunks of T_5 away from id 0, T_5's first chunk, whose unseen
+    # cardinalities keep V + 1 and witness 0, and all of T_2, whose table
+    # (2^6 ids) is its one chunk.
     cases = [
-        (5, 65536 - 300, 2 * 65536 + 300),
-        (5, 3 * 65536 + 17, 3 * 65536 + 5000),
-        (5, 2 * 65536 + 6, 2 * 65536 + 7),
-        (5, 0, 1000),
+        (5, 65536, 3 * 65536),
+        (5, 0, 65536),
         (2, 0, 64),
-        (2, 5, 50),
     ]
     for n, start, stop in cases:
         g = TriGrid(n)
@@ -165,8 +174,8 @@ def test_scan_range_off_chunk_edges_matches_scalar_scan():
             if b < best[k]:
                 best[k], witness[k] = b, a
         assert _scan_range(n, start, stop) == (best, witness)
-    best, witness = _scan_range(5, 0, 1000)  # ids below 2^10 have at most 10 members
-    assert best[11:] == [22] * 11 and witness[11:] == [0] * 11
+    best, witness = _scan_range(5, 0, 65536)  # ids below 2^16 have at most 16 members
+    assert best[17:] == [22] * 5 and witness[17:] == [0] * 5
 
 
 def test_table_csv_shape():
@@ -334,6 +343,25 @@ def test_diagonal_check_matches_loop_over_counters(monkeypatch):
     assert rep.min_slack_contain == least["contain"]
     assert rep.violations == violations
     assert {v["case"] for v in violations} == {"avoid", "contain"}
+
+
+# sha256 of json.dumps(diagonal_segment_check(T_n).to_json_obj(),
+# sort_keys=True), taken from the check that built the diagonal vertex by
+# vertex before it was read as the final segment of size n + 1.
+DIAGONAL_REPORT_SHA256 = {
+    1: "792e25a46b2fba0a7c3b411c205b7acf22bfadb5f4081e82f766812e7dd077d1",
+    2: "9e4a3d883746cd4a5494d5821d8083341498e9022be7b10383cf2da9b6bb5315",
+    3: "15ae4f849a1e7faa6be606bf03a1dab4373ca6b51383f9fefbcb1642b18e433b",
+    4: "a3ec53392215a11e433f797ecd4e4a52a63ec2e5c155fde251e06782aac89117",
+    5: "1eeb770bac3611ab3d25af16e2be0805c333063a85409ee0f1375369400e1da0",
+    6: "527b048eeecce00337c61e3bc46922bc125e2dc0afdd5bb4a5fc70ff080b9554",
+}
+
+
+@pytest.mark.parametrize("n", sorted(DIAGONAL_REPORT_SHA256))
+def test_diagonal_reports_pinned(n):
+    text = json.dumps(diagonal_segment_check(TriGrid(n)).to_json_obj(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DIAGONAL_REPORT_SHA256[n]
 
 
 def test_certificate_examples():
