@@ -17,7 +17,7 @@ column's cells past the hypotenuse count as members.
 
 from __future__ import annotations
 
-from .core import TriGrid, VertexSet, _ids, _set_bits, as_int, automorphism_id_permutations
+from .core import TriGrid, VertexSet, _ids, _mask, _set_bits, as_int, automorphism_id_permutations
 
 SIDES = ("left", "right")
 
@@ -95,4 +95,4 @@ def reflect(grid: TriGrid, a: VertexSet, axis: int) -> VertexSet:
     """
     axis = _check_axis(axis)
     perm = automorphism_id_permutations(grid)[4 if axis == 2 else 5]
-    return VertexSet.from_bits(grid, sum(1 << perm[i] for i in _ids(_set_bits(grid, a))))
+    return VertexSet.from_bits(grid, _mask(perm[i] for i in _ids(_set_bits(grid, a))))

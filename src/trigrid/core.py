@@ -94,8 +94,8 @@ class TriGrid:
         self._row_mask = tuple((1 << (n - r + 1)) - 1 for r in range(n + 1))
         self._stages = _row_shift_stages(self)
         lasts = [o - 1 for o in offsets[1:]] + [off - 1]
-        self._not_first = self.full_mask ^ _sum_of_powers(offsets, off)
         self._not_last = self.full_mask ^ _sum_of_powers(lasts, off)
+        self._not_first = self._not_last << 1  # a row's first id follows the previous row's last
 
     def __repr__(self) -> str:
         return f"TriGrid({self.n})"
@@ -426,6 +426,16 @@ def _ids(bits: int) -> list[int]:
         ids.append(low.bit_length() - 1)
         bits ^= low
     return ids
+
+
+def _mask(ids) -> int:
+    """Bitmask of an iterable of ids, the inverse of _ids: for a few ids,
+    such as a turn's lions or a sweep window; _sum_of_powers builds the
+    masks of O(V) positions."""
+    bits = 0
+    for i in ids:
+        bits |= 1 << i
+    return bits
 
 
 def boundary(grid: TriGrid, a: VertexSet) -> VertexSet:

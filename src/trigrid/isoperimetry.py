@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from . import bulk
-from .core import TriGrid, VertexSet, _ids, as_int, csv_text
+from .core import TriGrid, VertexSet, _ids, _mask, as_int, csv_text
 from .ordering import (
     final_segment,
     final_segment_boundary_size,
@@ -76,7 +76,7 @@ def _closed_table(grid: TriGrid, ids) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """
     import numpy as np
 
-    table = bulk.union_table([grid.spread_bits(1 << i) | 1 << i for i in ids])
+    table = bulk.union_table([grid._neighbor_bits(i) | 1 << i for i in ids])
     pop = np.bitwise_count(np.arange(len(table), dtype=np.uint64))
     counters = np.argsort(pop, kind="stable")
     edges = np.searchsorted(pop[counters], np.arange(len(ids) + 2))
@@ -93,15 +93,17 @@ def _scan_range(n: int, start: int, stop: int) -> tuple[list[int], list[int]]:
     np.minimum.reduceat, and |boundary(A)| = |N[A]| - |A| gives one least
     boundary per cardinality popcount(base) + g.  Only a group whose
     least beats the best so far is searched for a witness: its first hit,
-    the smallest counter there, as chunks run in ascending order.  start
-    and stop are multiples of the chunk size, or stop is 2^V, so the
-    range is whole chunks.
+    the smallest counter there, as chunks run in ascending order.  The
+    range must be whole chunks: start <= stop in 0..2^V, both multiples
+    of the chunk size (2^V is one); any other range raises ValueError.
     """
     import numpy as np
 
     grid = TriGrid(n)
     nv = grid.vertex_count
     counters, closed, edges = _closed_table(grid, range(min(nv, _CHUNK_BITS)))
+    if not 0 <= start <= stop <= 1 << nv or (start | stop) % len(closed):
+        raise ValueError(f"ids {start}..{stop} are not whole chunks of 0..2^{nv}")
     groups = np.arange(len(edges) - 1)
     best = np.full(nv + 1, nv + 1)
     witness = [0] * (nv + 1)
@@ -295,8 +297,7 @@ def diagonal_segment_check(grid: TriGrid) -> DiagonalSegmentReport:
     violations = []
     for c, pos in sorted(found):
         case, d, _ = cases[pos]
-        bits = d | sum(1 << i for j, i in enumerate(off_ids) if c >> j & 1)
-        a = VertexSet.from_bits(grid, bits)
+        a = VertexSet.from_bits(grid, d | _mask(off_ids[j] for j in _ids(c)))
         violations.append({"case": case, "k": len(a), "witness_hex": a.to_hex()})
     return DiagonalSegmentReport(
         n=n,

@@ -22,11 +22,12 @@ from .core import (
     TriGrid,
     VertexSet,
     _ids,
+    _mask,
     _set_bits,
     as_int,
     automorphism_id_permutations,
 )
-from .search import SearchTrace, TraceError, _least, _reaches
+from .search import SearchTrace, TraceError, _dirty_states, _least, _reaches
 
 EXACT_ORDER_LIMIT = 2
 _STEPS = frozenset(NEIGHBOR_OFFSETS)
@@ -35,13 +36,6 @@ _STEPS = frozenset(NEIGHBOR_OFFSETS)
 def _id(grid: TriGrid, v: Coord) -> int:
     """Dense id of a vertex that grid.check has already decoded."""
     return grid._row_offset[v.v2] + v.v1
-
-
-def _mask(ids) -> int:
-    bits = 0
-    for i in ids:
-        bits |= 1 << i
-    return bits
 
 
 def _fixups(moves, occupied: int, nbr) -> tuple[tuple[int, int], ...]:
@@ -95,25 +89,23 @@ def _contaminate(grid: TriGrid, cont: int, moves, occupied: int) -> int:
 
 
 def _turn(
-    grid: TriGrid, positions: tuple[Coord, ...], ids: list[int], here: Counter,
-    occupied: int, turn, cont: int,
+    grid: TriGrid, positions: tuple[Coord, ...], here: Counter, occupied: int, turn, cont: int,
 ) -> tuple[tuple[Coord, ...], int, int]:
     """Validate and play one turn: the new positions, occupancy bits and
     contamination bits.
 
-    positions are the lions' checked vertices.  One loop checks each entry
-    and records its move: a lion index that as_int refuses, is out of
+    positions are the lions' checked vertices, the one record of where
+    they stand.  One loop checks each entry and records its move as a
+    (from id, to id) pair: a lion index that as_int refuses, is out of
     range or is named twice, a destination off the grid and a move along
     a non-edge raise ValueError; a destination of None or the lion's own
-    vertex stays.  Only then, in O(moves), do ids (one per lion, in step
-    with positions), here (a Counter of the lions on each occupied id)
-    and the occupied bits change: a move sets its destination's bit and
-    clears the vertex it leaves once no lion is left there, so stacked
-    lions and swaps keep their vertices.
+    vertex stays.  Only then, in O(moves), do here (a Counter of the
+    lions on each occupied id) and the occupied bits change: a move sets
+    its destination's bit and clears the vertex it leaves once no lion
+    is left there, so stacked lions and swaps keep their vertices.
     """
     moved = list(positions)
     named = set()
-    movers = []
     traversed = []
     for idx, dest in turn:
         idx = as_int(idx, "lion index", 0, len(positions) - 1)
@@ -129,10 +121,8 @@ def _turn(
         if (dest.v1 - prev.v1, dest.v2 - prev.v2) not in _STEPS:
             raise ValueError(f"illegal lion move {tuple(prev)} -> {tuple(dest)}")
         moved[idx] = dest
-        movers.append(idx)
-        traversed.append((ids[idx], _id(grid, dest)))
-    for idx, (a, b) in zip(movers, traversed):
-        ids[idx] = b
+        traversed.append((_id(grid, prev), _id(grid, dest)))
+    for a, b in traversed:
         here[a] -= 1
         here[b] += 1
         occupied |= 1 << b
@@ -156,11 +146,9 @@ def lion_step(
     if len(dests) != len(positions):
         raise ValueError("one destination entry per lion required")
     positions = tuple(grid.check(v) for v in positions)
-    ids = [_id(grid, v) for v in positions]
+    here = Counter(_id(grid, v) for v in positions)
     cont = _set_bits(grid, contaminated)
-    new_positions, _, cont = _turn(
-        grid, positions, ids, Counter(ids), _mask(ids), enumerate(dests), cont
-    )
+    new_positions, _, cont = _turn(grid, positions, here, _mask(here), enumerate(dests), cont)
     return new_positions, VertexSet.from_bits(grid, cont)
 
 
@@ -197,15 +185,14 @@ class LionTrace:
         cls, grid: TriGrid, start: Sequence[Coord], turns: list[Turn]
     ) -> "LionTrace":
         start = tuple(grid.check(v) for v in start)
-        ids = [_id(grid, v) for v in start]
-        here = Counter(ids)
-        occ = _mask(ids)
+        here = Counter(_id(grid, v) for v in start)
+        occ = _mask(here)
         occupied = [occ]
         cont = grid.full_mask & ~occ
         positions = [start]
         contaminated = [VertexSet.from_bits(grid, cont)]
         for turn in turns:
-            pos, occ, cont = _turn(grid, positions[-1], ids, here, occ, turn, cont)
+            pos, occ, cont = _turn(grid, positions[-1], here, occ, turn, cont)
             positions.append(pos)
             occupied.append(occ)
             contaminated.append(VertexSet.from_bits(grid, cont))
@@ -288,7 +275,7 @@ def column_sweep_strategy(grid: TriGrid) -> LionTrace:
 
 
 def coupled_searches(trace: LionTrace) -> list[VertexSet]:
-    """Search schedule P(k-1) | P(k) (turn 0 searches the start positions).
+    """Search schedule: turn k searches P(k-1) | P(k), with P(-1) = P(0).
 
     Reads the occupancy masks the replay kept; a trace whose occupied
     list is empty or not in step with its positions raises ValueError.
@@ -300,10 +287,7 @@ def coupled_searches(trace: LionTrace) -> list[VertexSet]:
             f"trace has {len(masks)} occupancy masks for {len(trace.positions)} states;"
             " build it with LionTrace.from_moves"
         )
-    searches = [VertexSet.from_bits(grid, masks[0])]
-    for prev, cur in zip(masks, masks[1:]):
-        searches.append(VertexSet.from_bits(grid, prev | cur))
-    return searches
+    return [VertexSet.from_bits(grid, prev | cur) for prev, cur in zip(masks[:1] + masks, masks)]
 
 
 def couple_to_search(trace: LionTrace) -> SearchTrace:
@@ -319,8 +303,11 @@ def claim_check(trace: LionTrace) -> bool:
     """Lockstep containment of cleared sets: cleared-by-lions is always
     inside cleared-by-coupled-search, equivalently every post-search dirty
     set stays inside the contaminated set.  Holds for any legal trace,
-    winning or not.  A trace whose contaminated list is not one set per
-    state raises ValueError, as coupled_searches does for occupancy."""
+    winning or not.  The coupled searches replay through
+    search._dirty_states, and come first in the zip, so no spread runs
+    past the last turn.  A trace whose contaminated list is not one set
+    per state, or holds an entry _set_bits refuses, raises ValueError
+    before the replay, as coupled_searches does for occupancy."""
     grid = trace.grid
     searches = coupled_searches(trace)
     if len(trace.contaminated) != len(trace.positions):
@@ -329,12 +316,11 @@ def claim_check(trace: LionTrace) -> bool:
             f" for {len(trace.positions)} states;"
             " build it with LionTrace.from_moves"
         )
-    dirty = grid.full_mask
-    for search, cont in zip(searches, trace.contaminated):
-        post = dirty & ~search.bits
-        if post & ~cont.bits:
+    conts = [_set_bits(grid, c) for c in trace.contaminated]
+    dirty = itertools.chain([grid.full_mask], _dirty_states(grid, searches))
+    for search, cont, before in zip(searches, conts, dirty):
+        if before & ~search.bits & ~cont:
             return False
-        dirty = post | grid.spread_bits(post)
     return True
 
 
@@ -408,7 +394,7 @@ def _lion_solver(grid: TriGrid):
     nbr = [grid._neighbor_bits(v) for v in range(nv)]
     options = [[v] + _ids(nbr[v]) for v in range(nv)]  # stay first
     perms = automorphism_id_permutations(grid)[1:]
-    packed = [sum(1 << perm[i] + k * nv for k, perm in enumerate(perms)) for i in range(nv)]
+    packed = [_mask(perm[i] + k * nv for k, perm in enumerate(perms)) for i in range(nv)]
     tab_lo, tab_hi = _union_table(packed[:8]), _union_table(packed[8:])
     full = grid.full_mask
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from . import bulk
-from .core import TriGrid, VertexSet, _set_bits, as_int, automorphism_id_permutations
+from .core import TriGrid, VertexSet, _mask, _set_bits, as_int, automorphism_id_permutations
 from .isoperimetry import lower_bound_certificate
 
 EXACT_ORDER_LIMIT = 4
@@ -249,13 +249,13 @@ def _three_stage_searches(grid: TriGrid) -> tuple[int, list[VertexSet]]:
     chain += [offs[y] + q for y in range(q, -1, -1)]
     run = (1 << q) - 1
     for j in range(1, q + 1):
-        window = sum(1 << i for i in chain[j - 1 : j + q + 1])
+        window = _mask(chain[j - 1 : j + q + 1])
         emit(window | run << offs[q + 1 - j] | run << offs[q - j])
 
     # Stage 3, the mirror of a row phase: shrink down the column while
     # searching a growing top prefix of the next column, one bit each per
     # turn.  That prefix ends as the whole next column, the next phase's start.
-    nxt = sum(1 << (offs[y] + q) for y in range(n - q + 1))
+    nxt = _mask(offs[y] + q for y in range(n - q + 1))
     for col in range(q, n):
         here, nxt = nxt, 0
         for row in range(n - col, 0, -1):
@@ -325,14 +325,12 @@ def _budget_solver(grid: TriGrid):
     import numpy as np
 
     nv = grid.vertex_count
-    # Split-word tables over the low 8 bits and the rest, for the spread
-    # (each vertex's neighbour mask) and for the symmetries (row i holds
-    # id i's images under the five non-identity ones, as in _lion_solver).
-    lo = min(8, nv)
-    lo_mask = (1 << lo) - 1
-
+    # Split-word tables over the low 8 ids and the rest, as in _lion_solver
+    # (the rest is empty when V < 8), for the spread (each vertex's
+    # neighbour mask) and for the symmetries (row i holds id i's images
+    # under the five non-identity ones).
     def split(images):
-        return bulk.union_table(images[:lo]), bulk.union_table(images[lo:])
+        return bulk.union_table(images[:8]), bulk.union_table(images[8:])
 
     spread_lo, spread_hi = split([grid._neighbor_bits(i) for i in range(nv)])
     perms = np.array(automorphism_id_permutations(grid)[1:], dtype=np.uint64)
@@ -346,11 +344,11 @@ def _budget_solver(grid: TriGrid):
         def expand(d):
             cand = combos[(combos & d) == combos]
             p = d & ~cand
-            succ = p | spread_lo[p & lo_mask] | spread_hi[p >> lo]
+            succ = p | spread_lo[p & 0xFF] | spread_hi[p >> 8]
             if (np.bitwise_count(succ) <= m).any():
                 return None  # small enough to finish next turn
             succ = succ[(succ | d) != succ]
-            images = sym_lo.take(succ & lo_mask, axis=0) | sym_hi.take(succ >> lo, axis=0)
+            images = sym_lo.take(succ & 0xFF, axis=0) | sym_hi.take(succ >> 8, axis=0)
             # take beats [] at gathering rows; min on a (5, k) copy beats a short-axis min
             best = np.minimum(succ, images.T.copy().min(axis=0))
             return np.unique(best).tolist()

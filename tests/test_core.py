@@ -385,6 +385,33 @@ def test_neighbor_bits_is_the_spread_of_one_vertex(n):
     assert g._neighbor_bits(np.int64(0)) == g.spread_bits(1)
 
 
+def test_column_masks_match_their_row_definitions():
+    # _not_first and _not_last drop each row's first and last id
+    from trigrid.core import GRID_ORDER_LIMIT
+
+    for g in map(TriGrid, [*range(1, 71), GRID_ORDER_LIMIT]):
+        nv, offs = g.vertex_count, np.array(g._row_offset)
+        for mask, ends in ((g._not_first, offs), (g._not_last, offs + g.n - np.arange(g.n + 1))):
+            assert mask >> nv == 0
+            want = np.ones(nv, dtype=np.uint8)
+            want[ends] = 0
+            raw = np.frombuffer(mask.to_bytes((nv + 7) // 8, "little"), dtype=np.uint8)
+            assert np.array_equal(np.unpackbits(raw, bitorder="little")[:nv], want), g
+
+
+def test_mask_and_ids_are_inverse():
+    from trigrid.core import _ids, _mask
+
+    g = TriGrid(60)
+    nv = g.vertex_count
+    rng = random.Random(60)
+    for bits in [0, g.full_mask, *(rng.getrandbits(nv) for _ in range(50))]:
+        assert _mask(_ids(bits)) == bits
+    for _ in range(50):
+        ids = [rng.randrange(nv) for _ in range(rng.randrange(0, 12))]
+        assert _ids(_mask(ids)) == sorted(set(ids))
+
+
 @pytest.mark.parametrize("bad", [-1, 10, 1.0, True, "1"], ids=repr)
 def test_neighbor_bits_refuses_what_as_int_refuses(bad):
     g = TriGrid(3)

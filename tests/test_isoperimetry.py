@@ -153,7 +153,7 @@ def test_exhaustive_tables_pinned(n):
     assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_TABLE_SHA256[n]
 
 
-def test_scan_range_off_chunk_edges_matches_scalar_scan():
+def test_scan_range_over_whole_chunks_matches_scalar_scan():
     # Whole-chunk id ranges, as exhaustive_min_boundary cuts them: two
     # 2^16-id chunks of T_5 away from id 0, T_5's first chunk, whose unseen
     # cardinalities keep V + 1 and witness 0, and all of T_2, whose table
@@ -176,6 +176,12 @@ def test_scan_range_off_chunk_edges_matches_scalar_scan():
         assert _scan_range(n, start, stop) == (best, witness)
     best, witness = _scan_range(5, 0, 65536)  # ids below 2^16 have at most 16 members
     assert best[17:] == [22] * 5 and witness[17:] == [0] * 5
+
+
+@pytest.mark.parametrize("start, stop", [(100, 200), (0, 2**21 + 65536), (65536, 0), (-65536, 0)])
+def test_scan_range_refuses_ranges_that_are_not_whole_chunks(start, stop):
+    with pytest.raises(ValueError, match="not whole chunks"):
+        _scan_range(5, start, stop)
 
 
 def test_table_csv_shape():

@@ -12,6 +12,7 @@ from trigrid import (
     LionTrace,
     TraceError,
     TriGrid,
+    VertexSet,
     claim_check,
     column_sweep_strategy,
     couple_to_search,
@@ -309,6 +310,15 @@ def test_claim_check_refuses_a_contaminated_list_out_of_step():
     states = len(tr.positions)
     for cont in ([], tr.contaminated[:1], planted[:j]):
         with pytest.raises(ValueError, match=f"{len(cont)} contaminated sets for {states} states"):
+            claim_check(dataclasses.replace(tr, contaminated=cont))
+
+
+def test_claim_check_reads_contaminated_sets_by_the_set_rule():
+    tr = column_sweep_strategy(TriGrid(3))
+    other = [VertexSet.from_bits(TriGrid(4), c.bits) for c in tr.contaminated]
+    ints = [c.bits for c in tr.contaminated]
+    for cont, message in ((other, "does not belong to this grid"), (ints, "expected a VertexSet")):
+        with pytest.raises(ValueError, match=message):
             claim_check(dataclasses.replace(tr, contaminated=cont))
 
 
