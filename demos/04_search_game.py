@@ -28,6 +28,7 @@ for t in (0, 9, 10, len(trace.searches) - 1):
     print(render_ascii(g, [(trace.dirty_after[t], "R"), (trace.searches[t], "Y")], "G"))
 
 # Tiny instances can be solved exactly by reachability over dirty states.
+# The sweep is replayed first, and the search runs only below its budget.
 for m in (1, 2, 3, 4):
     print(f"In(T_{m}) =", exact_inspection_number(TriGrid(m), sweep_budget(m)))
 

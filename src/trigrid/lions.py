@@ -465,6 +465,13 @@ def exact_lion_number(grid: TriGrid, max_l: int) -> int | None:
     (sorted positions, contamination) states, one per orbit of the six
     triangle symmetries; all simultaneous move combinations, including
     swaps and stacking, are explored.  The per-grid tables are built once.
+    The column sweep is replayed first: when it wins, no count from its
+    n + 1 lions up is searched (see search._least), and each count below
+    is decided by the search.  A sweep that did not win would leave every
+    count to the search.
     """
     as_int(grid.n, "exact lion solving order", hi=EXACT_ORDER_LIMIT)
-    return _least(_lion_solver(grid), as_int(max_l, "max_l", 1))
+    top = as_int(max_l, "max_l", 1)
+    sweep = column_sweep_strategy(grid)
+    upper = sweep.lions if sweep.is_winning() else top + 1
+    return _least(_lion_solver(grid), top, upper)

@@ -287,9 +287,17 @@ def _reaches(starts, expand) -> bool:
     return False
 
 
-def _least(clears, top: int) -> int | None:
-    """Least k in 1..top with clears(k), or None."""
-    return next((k for k in range(1, top + 1) if clears(k)), None)
+def _least(clears, top: int, upper: int) -> int | None:
+    """Least k in 1..top with clears(k), or None; clears is not called at
+    any k >= upper, which is returned as it stands.
+
+    upper is a count that a strategy replayed by the caller has just been
+    seen to clear, or top + 1 when the replay did not clear.  This is sound:
+    the strategy clears with upper, so the least count is at most upper,
+    and every count below upper is still decided by clears, so the value
+    is the one the search at every count would give.
+    """
+    return next((k for k in range(1, top + 1) if k >= upper or clears(k)), None)
 
 
 def _search_sets(nv: int, m: int) -> np.ndarray:
@@ -359,9 +367,18 @@ def _budget_solver(grid: TriGrid):
 
 
 def exact_inspection_number(grid: TriGrid, max_m: int) -> int | None:
-    """Least per-turn budget that clears T_n, or None past max_m (n <= 4)."""
+    """Least per-turn budget that clears T_n, or None past max_m (n <= 4).
+
+    The three-stage sweep is replayed first: when it clears, no budget from
+    its own up is searched (see _least), and each budget below it is
+    decided by breadth-first search.  A sweep that did not clear would
+    leave every budget to the search.
+    """
     as_int(grid.n, "exact solving order", hi=EXACT_ORDER_LIMIT)
-    return _least(_budget_solver(grid), as_int(max_m, "max_m", 1))
+    top = as_int(max_m, "max_m", 1)
+    budget, searches = _three_stage_searches(grid)
+    upper = budget if verify_trace(grid, SearchTrace(grid, budget, searches)) else top + 1
+    return _least(_budget_solver(grid), top, upper)
 
 
 @dataclass

@@ -248,3 +248,23 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+
+def recording(clears, asked: list):
+    """clears, wrapped to append each count it is asked to asked."""
+
+    def record(k):
+        asked.append(k)
+        return clears(k)
+
+    return record
+
+
+def record_solver_counts(monkeypatch, module, name: str) -> list:
+    """Replace the solver factory module.name by one whose solvers record
+    every count they are asked; returns that list of counts."""
+    real = getattr(module, name)
+    asked = []
+    monkeypatch.setattr(module, name, lambda grid: recording(real(grid), asked))
+    return asked

@@ -193,6 +193,44 @@ def test_search_bounds_csv(capsys):
     )
 
 
+# sha256 of `search bounds --n-max 24 --exact-up-to 4 --format csv` as
+# printed when the exact solver searched every budget up to the sweep's.
+BOUNDS_24_CSV_SHA256 = "ece5a37d80e9771ea8b32044d357265a2f169a4f7b1394d4c388176681952956"
+
+
+def test_search_bounds_csv_to_24_pinned(capsys):
+    code, out, _ = run(
+        capsys, "search", "bounds", "--n-max", "24", "--exact-up-to", "4", "--format", "csv"
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_24_CSV_SHA256
+
+
+# Per exact command: its limit flag, the payload keys of the limit and of
+# the value, and the largest limit pinned.
+EXACT_LIMITS = {
+    "search": ("--max-m", "max_m", "inspection_number", 6),
+    "lions": ("--max-l", "max_l", "lion_number", 4),
+}
+
+
+@pytest.mark.parametrize(
+    "command, n, least",
+    [("search", 1, 3), ("search", 2, 4), ("search", 3, 4), ("search", 4, 5),
+     ("lions", 1, 2), ("lions", 2, 3)],
+)
+def test_exact_payloads_pinned(capsys, command, n, least):
+    flag, limit_key, key, most = EXACT_LIMITS[command]
+    for limit in range(1, most + 1):
+        code, out, _ = run(capsys, command, "exact", "--n", str(n), flag, str(limit))
+        assert code == EXIT_OK
+        assert json.loads(out)["payload"] == {
+            key: least if limit >= least else "unknown",
+            limit_key: limit,
+            "n": n,
+        }
+
+
 def test_lions_pipeline_through_files(tmp_path, capsys):
     trace_path = tmp_path / "lions.json"
     code, out, _ = run(capsys, "lions", "simulate", "--n", "2", "--out", str(trace_path))

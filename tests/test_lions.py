@@ -23,6 +23,7 @@ from trigrid import (
     verify_trace,
 )
 from trigrid.core import _ids, automorphism_id_permutations
+from trigrid import lions as lions_module
 from trigrid.lions import coupled_searches
 
 from helpers import (
@@ -30,6 +31,7 @@ from helpers import (
     lion_trace_json_oracle,
     lion_turn_oracle,
     lions_clearable_oracle,
+    record_solver_counts,
     traced_peak,
 )
 
@@ -454,6 +456,28 @@ def test_exact_lion_number_t2_matches_oracle():
     assert val == 3
     assert not lions_clearable_oracle(g, 2)  # independent confirmation of > 2
     assert column_sweep_strategy(g).is_winning()  # and of <= 3
+
+
+def test_exact_lion_number_stops_at_the_column_sweep(monkeypatch):
+    # l(T_n) = n + 1 for n <= 2, the column sweep's count: only the
+    # counts below it are searched.
+    asked = record_solver_counts(monkeypatch, lions_module, "_lion_solver")
+    for n in (1, 2):
+        asked.clear()
+        assert exact_lion_number(TriGrid(n), 4) == n + 1
+        assert asked == list(range(1, n + 1)), n
+
+
+def test_exact_lion_number_searches_every_count_when_the_sweep_fails(monkeypatch):
+    asked = record_solver_counts(monkeypatch, lions_module, "_lion_solver")
+    monkeypatch.setattr(LionTrace, "is_winning", lambda self: False)
+    for n in (1, 2):
+        asked.clear()
+        assert exact_lion_number(TriGrid(n), 4) == n + 1
+        assert asked == list(range(1, n + 2)), n
+    asked.clear()
+    assert exact_lion_number(TriGrid(2), 2) is None
+    assert asked == [1, 2]
 
 
 def test_solver_matches_oracle_one_order_past_the_cap():

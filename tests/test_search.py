@@ -24,7 +24,13 @@ from trigrid import (
 )
 from trigrid.cli import EXIT_VERIFY, main
 
-from helpers import random_vertex_set, search_clearable_oracle, traced_peak
+from helpers import (
+    random_vertex_set,
+    record_solver_counts,
+    recording,
+    search_clearable_oracle,
+    traced_peak,
+)
 
 
 def test_budget_formula():
@@ -391,6 +397,53 @@ def test_exact_solver_one_order_past_the_cap():
 
     clearable = _budget_solver(TriGrid(5))
     assert [clearable(m) for m in (5, 6)] == [False, True]
+
+
+def test_budget_solver_clears_t4_at_the_sweep_budget():
+    # exact_inspection_number no longer asks for budget 5 on T_4: the
+    # sweep's replay settles it, so the solver is checked there directly.
+    from trigrid.search import _budget_solver
+
+    assert _budget_solver(TriGrid(4))(5)
+
+
+@pytest.mark.parametrize(
+    "clears, top, upper, least, asked",
+    [
+        (lambda k: False, 9, 4, 4, [1, 2, 3]),  # upper itself is never asked
+        (lambda k: k >= 2, 9, 4, 2, [1, 2]),
+        (lambda k: False, 5, 6, None, [1, 2, 3, 4, 5]),  # no strategy cleared
+    ],
+    ids=["upper", "below-upper", "none"],
+)
+def test_least_asks_only_below_upper(clears, top, upper, least, asked):
+    seen = []
+    assert search._least(recording(clears, seen), top, upper) == least
+    assert seen == asked
+
+
+INSPECTION_NUMBERS = {1: 3, 2: 4, 3: 4, 4: 5}
+
+
+def test_exact_inspection_number_stops_at_the_sweep_budget(monkeypatch):
+    asked = record_solver_counts(monkeypatch, search, "_budget_solver")
+    for n, value in INSPECTION_NUMBERS.items():
+        asked.clear()
+        assert exact_inspection_number(TriGrid(n), 6) == value
+        # every budget below the least one and below the sweep's own
+        assert asked == list(range(1, min(value + 1, sweep_budget(n)))), n
+
+
+def test_exact_inspection_number_searches_every_budget_when_the_sweep_fails(monkeypatch):
+    asked = record_solver_counts(monkeypatch, search, "_budget_solver")
+    monkeypatch.setattr(search, "verify_trace", lambda grid, trace: False)
+    for n, value in INSPECTION_NUMBERS.items():
+        asked.clear()
+        assert exact_inspection_number(TriGrid(n), 6) == value
+        assert asked == list(range(1, value + 1)), n
+    asked.clear()
+    assert exact_inspection_number(TriGrid(4), 4) is None
+    assert asked == [1, 2, 3, 4]
 
 
 def test_search_sets_equal_itertools_combinations():
