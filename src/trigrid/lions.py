@@ -10,11 +10,10 @@ winning lion schedule into a search schedule of twice the budget.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     NEIGHBOR_OFFSETS,
@@ -31,6 +30,7 @@ from .search import SearchTrace, TraceError, _dirty_states, _least, _reaches
 
 EXACT_ORDER_LIMIT = 2
 _STEPS = frozenset(NEIGHBOR_OFFSETS)
+Turn = list[tuple[int, Optional[Coord]]]
 
 
 def _id(grid: TriGrid, v: Coord) -> int:
@@ -61,16 +61,9 @@ def _fixups(moves, occupied: int, nbr) -> tuple[tuple[int, int], ...]:
 
 
 def _settle(cont: int, out: int, fixups, occupied: int) -> int:
-    """Contamination after a turn from out = cont | spread(cont): an end w
-    of a fix-up keeps its bit only if cont meets its keep mask."""
-    for bit, keep in fixups:
-        if not cont & keep:
-            out &= ~bit
-    return out & ~occupied
-
-
-def _contaminate(grid: TriGrid, cont: int, moves, occupied: int) -> int:
-    """Contamination bits after a turn, on dense ids.
+    """Contamination bits after a turn, from out = cont | spread(cont) and
+    the turn's _fixups; the one rule that the replay (_turn) and the
+    solver (_lion_solver) both play.
 
     The rule: a vertex ends contaminated when no lion stands on it and it
     was contaminated or has a contaminated neighbour across an edge no
@@ -84,27 +77,31 @@ def _contaminate(grid: TriGrid, cont: int, moves, occupied: int) -> int:
     get no fix-up.  So a turn costs one spread of cont plus an O(1)
     neighbour mask, TriGrid._neighbor_bits, per fix-up end.
     """
-    fixups = _fixups(moves, occupied, grid._neighbor_bits)
-    return _settle(cont, cont | grid.spread_bits(cont), fixups, occupied)
+    for bit, keep in fixups:
+        if not cont & keep:
+            out &= ~bit
+    return out & ~occupied
 
 
 def _turn(
     grid: TriGrid, positions: tuple[Coord, ...], here: Counter, occupied: int, turn, cont: int,
-) -> tuple[tuple[Coord, ...], int, int]:
-    """Validate and play one turn: the new positions, occupancy bits and
-    contamination bits.
+) -> tuple[Turn, tuple[Coord, ...], int, int]:
+    """Validate and play one turn: the entries it checked, the new
+    positions, occupancy bits and contamination bits (by _settle).
 
     positions are the lions' checked vertices, the one record of where
-    they stand.  One loop checks each entry and records its move as a
-    (from id, to id) pair: a lion index that as_int refuses, is out of
-    range or is named twice, a destination off the grid and a move along
-    a non-edge raise ValueError; a destination of None or the lion's own
-    vertex stays.  Only then, in O(moves), do here (a Counter of the
-    lions on each occupied id) and the occupied bits change: a move sets
-    its destination's bit and clears the vertex it leaves once no lion
-    is left there, so stacked lions and swaps keep their vertices.
+    they stand.  One loop keeps each entry as (index as int, Coord or
+    None) once checked, and records its move as a (from id, to id) pair:
+    a lion index that as_int refuses, is out of range or is named twice,
+    a destination off the grid and a move along a non-edge raise
+    ValueError; a destination of None or the lion's own vertex stays.
+    Only then, in O(moves), do here (a Counter of the lions on each
+    occupied id) and the occupied bits change: a move sets its
+    destination's bit and clears the vertex it leaves once no lion is
+    left there, so stacked lions and swaps keep their vertices.
     """
     moved = list(positions)
+    checked: Turn = []
     named = set()
     traversed = []
     for idx, dest in turn:
@@ -112,11 +109,11 @@ def _turn(
         if idx in named:
             raise ValueError(f"lion {idx} is named twice in one turn")
         named.add(idx)
-        if dest is None:
-            continue
-        dest = grid.check(dest)
+        if dest is not None:
+            dest = grid.check(dest)
+        checked.append((idx, dest))
         prev = positions[idx]
-        if dest == prev:
+        if dest is None or dest == prev:
             continue
         if (dest.v1 - prev.v1, dest.v2 - prev.v2) not in _STEPS:
             raise ValueError(f"illegal lion move {tuple(prev)} -> {tuple(dest)}")
@@ -128,7 +125,9 @@ def _turn(
         occupied |= 1 << b
         if not here[a]:
             occupied &= ~(1 << a)
-    return tuple(moved), occupied, _contaminate(grid, cont, traversed, occupied)
+    fixups = _fixups(traversed, occupied, grid._neighbor_bits)
+    cont = _settle(cont, cont | grid.spread_bits(cont), fixups, occupied)
+    return checked, tuple(moved), occupied, cont
 
 
 def lion_step(
@@ -148,21 +147,19 @@ def lion_step(
     positions = tuple(grid.check(v) for v in positions)
     here = Counter(_id(grid, v) for v in positions)
     cont = _set_bits(grid, contaminated)
-    new_positions, _, cont = _turn(grid, positions, here, _mask(here), enumerate(dests), cont)
+    _, new_positions, _, cont = _turn(grid, positions, here, _mask(here), enumerate(dests), cont)
     return new_positions, VertexSet.from_bits(grid, cont)
-
-
-Turn = list[tuple[int, Optional[Coord]]]
 
 
 @dataclass
 class LionTrace:
     """A lion schedule plus the states its replay produces.
 
-    turns[j] lists (lion_index, destination) for the lions that move on
-    turn j, as given to from_moves; unlisted lions stay.  positions[0]/contaminated[0] are the
-    initial state (everything unoccupied starts contaminated).  occupied[k]
-    is the bitmask of positions[k], kept from the replay.
+    turns[j] lists (lion_index, destination) for the lions named on turn
+    j, as the replay checked them: the index an int, the destination a
+    Coord or None; unlisted lions stay.  positions[0]/contaminated[0] are
+    the initial state (everything unoccupied starts contaminated).
+    occupied[k] is the bitmask of positions[k], kept from the replay.
     """
 
     grid: TriGrid
@@ -182,8 +179,10 @@ class LionTrace:
 
     @classmethod
     def from_moves(
-        cls, grid: TriGrid, start: Sequence[Coord], turns: list[Turn]
+        cls, grid: TriGrid, start: Sequence[Coord], turns: Iterable[Iterable]
     ) -> "LionTrace":
+        """Replay turns, any iterable of iterables of (lion index,
+        destination) pairs, once; turns keeps the entries _turn checked."""
         start = tuple(grid.check(v) for v in start)
         here = Counter(_id(grid, v) for v in start)
         occ = _mask(here)
@@ -191,12 +190,14 @@ class LionTrace:
         cont = grid.full_mask & ~occ
         positions = [start]
         contaminated = [VertexSet.from_bits(grid, cont)]
+        checked = []
         for turn in turns:
-            pos, occ, cont = _turn(grid, positions[-1], here, occ, turn, cont)
+            moves, pos, occ, cont = _turn(grid, positions[-1], here, occ, turn, cont)
+            checked.append(moves)
             positions.append(pos)
             occupied.append(occ)
             contaminated.append(VertexSet.from_bits(grid, cont))
-        return cls(grid, start, turns, positions, contaminated, occupied)
+        return cls(grid, start, checked, positions, contaminated, occupied)
 
     def is_winning(self) -> bool:
         if not self.contaminated:
@@ -220,13 +221,9 @@ class LionTrace:
         The text is written directly, as SearchTrace.to_json writes its
         own, because indent makes json use its pure-Python encoder: one
         string per move, per turn and per start vertex, joined into their
-        arrays.  A plain int is written as str gives it; any other lion
-        index or coordinate goes through json.dumps, so a value json
-        refuses, such as a numpy integer, raises the same TypeError.
+        arrays.  Every lion index and coordinate is an int that from_moves
+        checked, so each is written by an f-string as str gives it.
         """
-        def num(x) -> str:
-            return str(x) if type(x) is int else json.dumps(x)
-
         def array(items: list[str], indent: str) -> str:
             return "[" + ",".join(items) + "\n" + indent + "]" if items else "[]"
 
@@ -234,13 +231,12 @@ class LionTrace:
         for turn in self.turns:
             moves = []
             for idx, dest in turn:
-                idx = num(idx)  # before dest, in the order json.dumps reads them
                 to = "null"
                 if dest is not None:
-                    to = f"[\n          {num(dest[0])},\n          {num(dest[1])}\n        ]"
+                    to = f"[\n          {dest[0]},\n          {dest[1]}\n        ]"
                 moves.append(f"\n      [\n        {idx},\n        {to}\n      ]")
             turns.append("\n    " + array(moves, "    "))
-        start = [f"\n    [\n      {num(v.v1)},\n      {num(v.v2)}\n    ]" for v in self.start]
+        start = [f"\n    [\n      {v.v1},\n      {v.v2}\n    ]" for v in self.start]
         return (
             f'{{\n  "lions": {self.lions},\n  "moves": {array(turns, "  ")},'
             f'\n  "n": {self.n},\n  "start": {array(start, "  ")}\n}}\n'
@@ -378,7 +374,7 @@ def _lion_solver(grid: TriGrid):
       (destinations, occupancy, their symmetry images, the distinct
       _fixups tuples of the group).
       A state spreads its contamination once, and each product settles
-      that one spread with _settle, the rule _contaminate plays.  A
+      that one spread with _settle, the rule the replay plays too.  A
       product that leaves nothing contaminated wins.
     - Symmetry: a triangle symmetry maps edges to edges, so it maps a
       turn from (P, C) to a turn from its image, with the traversed edges,

@@ -366,18 +366,24 @@ def _budget_solver(grid: TriGrid):
     return clearable
 
 
+def _sweep_upper(grid: TriGrid, top: int) -> tuple[int, int]:
+    """(budget, upper): the three-stage sweep, built and replayed once by
+    verify_trace, gives _least upper = its budget if it clears, else top + 1."""
+    budget, searches = _three_stage_searches(grid)
+    return budget, budget if verify_trace(grid, SearchTrace(grid, budget, searches)) else top + 1
+
+
 def exact_inspection_number(grid: TriGrid, max_m: int) -> int | None:
     """Least per-turn budget that clears T_n, or None past max_m (n <= 4).
 
-    The three-stage sweep is replayed first: when it clears, no budget from
-    its own up is searched (see _least), and each budget below it is
-    decided by breadth-first search.  A sweep that did not clear would
-    leave every budget to the search.
+    The three-stage sweep is replayed first (_sweep_upper): when it clears,
+    no budget from its own up is searched (see _least), and each budget
+    below it is decided by breadth-first search.  A sweep that did not
+    clear would leave every budget to the search.
     """
     as_int(grid.n, "exact solving order", hi=EXACT_ORDER_LIMIT)
     top = as_int(max_m, "max_m", 1)
-    budget, searches = _three_stage_searches(grid)
-    upper = budget if verify_trace(grid, SearchTrace(grid, budget, searches)) else top + 1
+    _, upper = _sweep_upper(grid, top)
     return _least(_budget_solver(grid), top, upper)
 
 
@@ -397,9 +403,10 @@ def inspection_bounds_report(n_max: int, exact_up_to: int = 1) -> list[BoundsRow
     """Per-order bounds: certified lower bound, replayed upper bound,
     and the exact value where the solver is allowed to run.
 
-    upper is the three-stage sweep's budget.  verify_trace replays its
-    schedule once per order, with no stored states: upper_verified says
-    every search fits the budget and the final dirty set is empty."""
+    upper is the three-stage sweep's budget.  _sweep_upper builds and
+    replays its schedule once per order: upper_verified says every search
+    fits the budget and the final dirty set is empty.  exact reads that
+    verdict, as exact_inspection_number(grid, upper) would."""
     n_max = as_int(n_max, "n_max", 1, 50)
     exact_up_to = as_int(exact_up_to, "exact_up_to", 0, EXACT_ORDER_LIMIT)
     rows = []
@@ -408,15 +415,9 @@ def inspection_bounds_report(n_max: int, exact_up_to: int = 1) -> list[BoundsRow
         lower = max(
             m for m in range(0, n + 2) if lower_bound_certificate(grid, m)
         )
-        budget, searches = _three_stage_searches(grid)
-        exact = exact_inspection_number(grid, budget) if n <= exact_up_to else None
+        budget, upper = _sweep_upper(grid, sweep_budget(n))
+        exact = _least(_budget_solver(grid), budget, upper) if n <= exact_up_to else None
         rows.append(
-            BoundsRow(
-                n=n,
-                lower=lower,
-                upper=budget,
-                upper_verified=verify_trace(grid, SearchTrace(grid, budget, searches)),
-                exact=exact,
-            )
+            BoundsRow(n=n, lower=lower, upper=budget, upper_verified=upper == budget, exact=exact)
         )
     return rows

@@ -367,12 +367,33 @@ def test_lion_trace_writer_matches_json_dumps():
     ids=["lion index", "v1", "v2"],
 )
 def test_lion_trace_writer_raises_what_json_dumps_raises(turn):
+    # The replay keeps each checked entry as (int, Coord), so a numpy
+    # integer is written as the int it stands for: neither writer raises.
     trace = LionTrace.from_moves(TriGrid(2), [(0, 0)], [turn])
-    with pytest.raises(TypeError) as expected:
-        lion_trace_json_oracle(trace)
-    with pytest.raises(TypeError) as written:
-        trace.to_json()
-    assert str(written.value) == str(expected.value)
+    assert trace.turns == [[(0, Coord(1, 0))]]
+    text = trace.to_json()
+    assert text == lion_trace_json_oracle(trace)
+    assert LionTrace.from_json_obj(json.loads(text)).positions == trace.positions
+
+
+def test_lion_trace_keeps_the_turns_it_replayed_from_any_iterable():
+    g = TriGrid(3)
+    sweep = column_sweep_strategy(g)
+    start = [tuple(v) for v in sweep.start]
+    lists = [[(idx, tuple(dest)) for idx, dest in turn] for turn in sweep.turns]
+    lists[0] += [(3, None), (2, (0, 2))]  # a None destination and a stay
+    expected = LionTrace.from_moves(g, start, lists)
+    assert expected.turns == lists
+    for turns in (
+        (turn for turn in lists),  # a generator of turns
+        [iter(turn) for turn in lists],  # iterators as turns
+        iter([(entry for entry in turn) for turn in lists]),  # both
+    ):
+        trace = LionTrace.from_moves(g, start, turns)
+        assert trace.turns == expected.turns and trace.is_winning()
+        text = trace.to_json()
+        assert text == expected.to_json() == lion_trace_json_oracle(trace)
+        assert LionTrace.from_json_obj(json.loads(text)).positions == expected.positions
 
 
 # Digest of 300 seeded random walks (every state's positions and

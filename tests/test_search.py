@@ -546,8 +546,10 @@ def test_bounds_report_replays_each_sweep_once(monkeypatch):
 
     turns = sum(len(three_stage_strategy(TriGrid(n)).searches) for n in range(1, 9))
     monkeypatch.setattr(TriGrid, "spread_bits", counted)
-    inspection_bounds_report(8, exact_up_to=0)
-    assert calls == turns
+    for exact_up_to in (0, 4):  # an exact order reads the same verdict
+        calls = 0
+        inspection_bounds_report(8, exact_up_to=exact_up_to)
+        assert calls == turns, exact_up_to
 
 
 # sha256 of json.dumps(rows, sort_keys=True) for inspection_bounds_report(24,
@@ -574,3 +576,18 @@ def test_bounds_report_flags_a_sweep_that_does_not_clear(monkeypatch, capsys):
     assert [r.upper_verified for r in rows] == [False] * 6
     assert main(["search", "bounds", "--n-max", "6", "--exact-up-to", "0"]) == EXIT_VERIFY
     assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_bounds_report_searches_every_budget_when_the_sweep_fails(monkeypatch):
+    build = search._three_stage_searches
+
+    def short(grid):
+        budget, searches = build(grid)
+        return budget, searches[:-1]
+
+    monkeypatch.setattr(search, "_three_stage_searches", short)
+    asked = record_solver_counts(monkeypatch, search, "_budget_solver")
+    rows = inspection_bounds_report(6, exact_up_to=4)
+    assert [r.exact for r in rows] == [3, 4, 4, 5, None, None]
+    assert not any(r.upper_verified for r in rows)
+    assert asked == [k for value in INSPECTION_NUMBERS.values() for k in range(1, value + 1)]
