@@ -1,5 +1,7 @@
 """Command-line entry point: each command is one COMMANDS entry, and
-build_parser builds the whole argparse tree from that table.
+build_parser builds the whole argparse tree from that table.  COMMON is
+the one list of the options every command takes: each one's dest is a
+RunConfig field, and a report's config holds all of them but --out.
 
 Exit codes: 0 success, 1 verification failure (an unverified table row, a
 lion trace that does not clear, which lions couple still couples, a failed
@@ -15,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, NamedTuple
 
 from . import __version__
@@ -52,7 +54,7 @@ SIMULATE_ORDER_LIMIT = 100
 class RunConfig:
     command: str
     params: dict
-    fmt: str = "json"
+    format: str = "json"
     out: str | None = None
     seed: int = 0
     threads: int = 1
@@ -233,7 +235,7 @@ COMMANDS = {
 
 GROUPS = {"search": "zero-visibility search game", "lions": "lions-and-contamination game"}
 
-# The arguments every command takes after its own.
+# The arguments every command takes after its own; each dest is a RunConfig field.
 COMMON = (
     ("--format", {"choices": ("json", "csv", "ascii"), "default": "json"}),
     ("--out", {"help": "write the report to this path instead of stdout"}),
@@ -247,20 +249,16 @@ def dispatch(config: RunConfig) -> Report:
     if config.command not in COMMANDS:
         raise ValueError(f"unknown command {config.command!r}")
     command = COMMANDS[config.command]
-    if config.fmt != "json" and not command.has_text(config.params):
-        raise ValueError(f"--format {config.fmt} is not available for {config.command}")
+    if config.format != "json" and not command.has_text(config.params):
+        raise ValueError(f"--format {config.format} is not available for {config.command}")
     as_int(config.threads, "--threads", 1, os.cpu_count() or 1)
     as_int(config.seed, "--seed", 0)
     t0 = time.perf_counter()
     payload, ok, text = command.run(config.params, config)
     return Report(
         command=config.command,
-        config={
-            "params": config.params,
-            "format": config.fmt,
-            "seed": config.seed,
-            "threads": config.threads,
-        },
+        # out is where the report goes, not part of the run.
+        config={k: v for k, v in asdict(config).items() if k not in ("command", "out")},
         payload=payload,
         ok=ok,
         duration_s=time.perf_counter() - t0,
@@ -289,29 +287,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SHARED = ("command", "subcommand", "format", "out", "seed", "threads")
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    ns = vars(args)
-    command = " ".join(filter(None, (ns["command"], ns.get("subcommand"))))
-    params = {k: v for k, v in ns.items() if k not in _SHARED}
+    params = vars(args)
+    command = " ".join(filter(None, (params.pop("command"), params.pop("subcommand", None))))
+    common = {flag[2:]: params.pop(flag[2:]) for flag, _ in COMMON}
     if command == "verify-isoperimetry" and params["samples"] is None:
         # Neither mode flag given: exhaustive where it is cheap, else sampled.
         params["samples"] = 10000
         params["exhaustive"] = params["exhaustive"] or params["n"] <= EXHAUSTIVE_DEFAULT_LIMIT
-    return RunConfig(
-        command=command,
-        params=params,
-        fmt=args.format,
-        out=args.out,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    return RunConfig(command, params, **common)
 
 
 def _emit(report: Report, config: RunConfig) -> int:
-    body = report.to_json() if config.fmt == "json" else report.text
+    body = report.to_json() if config.format == "json" else report.text
     if config.out:
         try:
             with open(config.out, "w", encoding="utf-8") as fh:

@@ -399,8 +399,7 @@ def automorphism_id_permutations(grid: TriGrid) -> list[tuple[int, ...]]:
     """
     n = grid.n
     offs = grid._row_offset
-    b = [r for r in range(n + 1) for _ in range(n + 1 - r)]
-    a = [i - offs[r] for i, r in enumerate(b)]
+    a, b = zip(*grid.vertices())  # in dense-id order
     c = [n - x - y for x, y in zip(a, b)]
     images = ((a, b), (b, c), (c, a), (b, a), (c, b), (a, c))
     return [tuple(offs[y] + x for x, y in zip(xs, ys)) for xs, ys in images]

@@ -153,13 +153,11 @@ def exhaustive_min_boundary(
             parts = list(pool.map(_scan_range, *zip(*ranges)))
     else:
         parts = [_scan_range(n, 0, total)]
-    best = [nv + 1] * (nv + 1)
-    witness = [0] * (nv + 1)
-    for part_best, part_witness in parts:  # per-k min merge, order-independent
-        for k in range(nv + 1):
-            if part_best[k] < best[k]:
-                best[k] = part_best[k]
-                witness[k] = part_witness[k]
+    # The least (boundary, witness) pair per k over the shards: shards are
+    # ascending id ranges, so a tie keeps the first shard's, smallest, witness,
+    # and a shard with no set of size k reports (V + 1, 0), which never wins.
+    pairs = zip(*(zip(*part) for part in parts))
+    best, witness = map(list, zip(*map(min, pairs)))
     packing = [packing_minimum(grid, k) for k in range(nv + 1)]
     return MinBoundaryTable(
         n=n,

@@ -199,9 +199,20 @@ class LionTrace:
             contaminated.append(VertexSet.from_bits(grid, cont))
         return cls(grid, start, checked, positions, contaminated, occupied)
 
+    def _check_replayed(self) -> None:
+        """The one check before a report reads the replay: ValueError, naming the
+        three counts, unless positions, occupied and contaminated hold one entry
+        per state, the start state at least."""
+        states, masks, sets = len(self.positions), len(self.occupied), len(self.contaminated)
+        if not states or masks != states or sets != states:
+            raise ValueError(
+                f"trace has {masks} occupancy masks and {sets} contaminated sets for {states}"
+                " states; build it with LionTrace.from_moves"
+            )
+
     def is_winning(self) -> bool:
-        if not self.contaminated:
-            raise ValueError("trace has no replayed states; build it with LionTrace.from_moves")
+        """Whether the last state is clear, once _check_replayed passes."""
+        self._check_replayed()
         return not self.contaminated[-1]
 
     def to_json_obj(self) -> dict:
@@ -273,16 +284,12 @@ def column_sweep_strategy(grid: TriGrid) -> LionTrace:
 def coupled_searches(trace: LionTrace) -> list[VertexSet]:
     """Search schedule: turn k searches P(k-1) | P(k), with P(-1) = P(0).
 
-    Reads the occupancy masks the replay kept; a trace whose occupied
-    list is empty or not in step with its positions raises ValueError.
+    Reads the occupancy masks the replay kept, once LionTrace._check_replayed
+    has found one entry per state in each of the replay's lists.
     """
+    trace._check_replayed()
     grid = trace.grid
     masks = trace.occupied
-    if not masks or len(masks) != len(trace.positions):
-        raise ValueError(
-            f"trace has {len(masks)} occupancy masks for {len(trace.positions)} states;"
-            " build it with LionTrace.from_moves"
-        )
     return [VertexSet.from_bits(grid, prev | cur) for prev, cur in zip(masks[:1] + masks, masks)]
 
 
@@ -301,17 +308,12 @@ def claim_check(trace: LionTrace) -> bool:
     set stays inside the contaminated set.  Holds for any legal trace,
     winning or not.  The coupled searches replay through
     search._dirty_states, and come first in the zip, so no spread runs
-    past the last turn.  A trace whose contaminated list is not one set
-    per state, or holds an entry _set_bits refuses, raises ValueError
-    before the replay, as coupled_searches does for occupancy."""
-    grid = trace.grid
+    past the last turn.  A trace without its replay (coupled_searches
+    checks it first, by LionTrace._check_replayed), or whose contaminated
+    list holds an entry _set_bits refuses, raises ValueError before the
+    replay."""
     searches = coupled_searches(trace)
-    if len(trace.contaminated) != len(trace.positions):
-        raise ValueError(
-            f"trace has {len(trace.contaminated)} contaminated sets"
-            f" for {len(trace.positions)} states;"
-            " build it with LionTrace.from_moves"
-        )
+    grid = trace.grid
     conts = [_set_bits(grid, c) for c in trace.contaminated]
     dirty = itertools.chain([grid.full_mask], _dirty_states(grid, searches))
     for search, cont, before in zip(searches, conts, dirty):
@@ -463,11 +465,11 @@ def exact_lion_number(grid: TriGrid, max_l: int) -> int | None:
     swaps and stacking, are explored.  The per-grid tables are built once.
     The column sweep is replayed first: when it wins, no count from its
     n + 1 lions up is searched (see search._least), and each count below
-    is decided by the search.  A sweep that did not win would leave every
-    count to the search.
+    is decided by the search.  A sweep that did not win gives upper None,
+    which leaves every count to the search.
     """
     as_int(grid.n, "exact lion solving order", hi=EXACT_ORDER_LIMIT)
     top = as_int(max_l, "max_l", 1)
     sweep = column_sweep_strategy(grid)
-    upper = sweep.lions if sweep.is_winning() else top + 1
+    upper = sweep.lions if sweep.is_winning() else None
     return _least(_lion_solver(grid), top, upper)

@@ -287,17 +287,18 @@ def _reaches(starts, expand) -> bool:
     return False
 
 
-def _least(clears, top: int, upper: int) -> int | None:
+def _least(clears, top: int, upper: int | None) -> int | None:
     """Least k in 1..top with clears(k), or None; clears is not called at
     any k >= upper, which is returned as it stands.
 
-    upper is a count that a strategy replayed by the caller has just been
-    seen to clear, or top + 1 when the replay did not clear.  This is sound:
+    upper is a count (at least 1) that a strategy replayed by the caller
+    has just been seen to clear, or None when the replay did not clear,
+    which leaves every count to clears.  This is sound:
     the strategy clears with upper, so the least count is at most upper,
     and every count below upper is still decided by clears, so the value
     is the one the search at every count would give.
     """
-    return next((k for k in range(1, top + 1) if k >= upper or clears(k)), None)
+    return next((k for k in range(1, top + 1) if k == upper or clears(k)), None)
 
 
 def _search_sets(nv: int, m: int) -> np.ndarray:
@@ -366,11 +367,11 @@ def _budget_solver(grid: TriGrid):
     return clearable
 
 
-def _sweep_upper(grid: TriGrid, top: int) -> tuple[int, int]:
+def _sweep_upper(grid: TriGrid) -> tuple[int, int | None]:
     """(budget, upper): the three-stage sweep, built and replayed once by
-    verify_trace, gives _least upper = its budget if it clears, else top + 1."""
+    verify_trace, gives _least upper = its budget if it clears, else None."""
     budget, searches = _three_stage_searches(grid)
-    return budget, budget if verify_trace(grid, SearchTrace(grid, budget, searches)) else top + 1
+    return budget, budget if verify_trace(grid, SearchTrace(grid, budget, searches)) else None
 
 
 def exact_inspection_number(grid: TriGrid, max_m: int) -> int | None:
@@ -379,11 +380,11 @@ def exact_inspection_number(grid: TriGrid, max_m: int) -> int | None:
     The three-stage sweep is replayed first (_sweep_upper): when it clears,
     no budget from its own up is searched (see _least), and each budget
     below it is decided by breadth-first search.  A sweep that did not
-    clear would leave every budget to the search.
+    clear gives upper None, which leaves every budget to the search.
     """
     as_int(grid.n, "exact solving order", hi=EXACT_ORDER_LIMIT)
     top = as_int(max_m, "max_m", 1)
-    _, upper = _sweep_upper(grid, top)
+    _, upper = _sweep_upper(grid)
     return _least(_budget_solver(grid), top, upper)
 
 
@@ -404,9 +405,10 @@ def inspection_bounds_report(n_max: int, exact_up_to: int = 1) -> list[BoundsRow
     and the exact value where the solver is allowed to run.
 
     upper is the three-stage sweep's budget.  _sweep_upper builds and
-    replays its schedule once per order: upper_verified says every search
-    fits the budget and the final dirty set is empty.  exact reads that
-    verdict, as exact_inspection_number(grid, upper) would."""
+    replays its schedule once per order: upper_verified (its upper is not
+    None) says every search fits the budget and the final dirty set is
+    empty.  exact reads that verdict, as exact_inspection_number(grid,
+    upper) would."""
     n_max = as_int(n_max, "n_max", 1, 50)
     exact_up_to = as_int(exact_up_to, "exact_up_to", 0, EXACT_ORDER_LIMIT)
     rows = []
@@ -415,9 +417,9 @@ def inspection_bounds_report(n_max: int, exact_up_to: int = 1) -> list[BoundsRow
         lower = max(
             m for m in range(0, n + 2) if lower_bound_certificate(grid, m)
         )
-        budget, upper = _sweep_upper(grid, sweep_budget(n))
+        budget, upper = _sweep_upper(grid)
         exact = _least(_budget_solver(grid), budget, upper) if n <= exact_up_to else None
         rows.append(
-            BoundsRow(n=n, lower=lower, upper=budget, upper_verified=upper == budget, exact=exact)
+            BoundsRow(n=n, lower=lower, upper=budget, upper_verified=upper is not None, exact=exact)
         )
     return rows

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from trigrid.cli import (
     COMMANDS,
+    COMMON,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -364,6 +366,34 @@ def test_verification_failure_exit_code():
 def test_dispatch_unknown_command():
     with pytest.raises(ValueError):
         dispatch(RunConfig(command="nope", params={}))
+
+
+def test_run_config_has_one_field_per_common_option():
+    # Each COMMON dest names a RunConfig field, so a new COMMON entry
+    # without one fails here.
+    parser = argparse.ArgumentParser()
+    dests = [parser.add_argument(flag, **kwargs).dest for flag, kwargs in COMMON]
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    assert names[:2] == ["command", "params"]
+    assert sorted(names[2:]) == sorted(dests)
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (["render", "--n", "2"], {"n": 2, "set": None, "bottom_up": False}),
+        (["search", "bounds", "--n-max", "2"], {"n_max": 2, "exact_up_to": 1}),
+        (["lions", "exact", "--n", "1", "--max-l", "3"], {"n": 1, "max_l": 3}),
+    ],
+    ids=["render", "search bounds", "lions exact"],
+)
+def test_report_config_holds_the_common_options_but_out(tmp_path, capsys, argv, params):
+    path = tmp_path / "report.json"
+    common = ["--format", "json", "--seed", "3", "--threads", "1", "--out", str(path)]
+    code, out, _ = run(capsys, *argv, *common)
+    assert code == EXIT_OK and out == ""
+    config = json.loads(path.read_text(encoding="utf-8"))["config"]
+    assert config == {"format": "json", "params": params, "seed": 3, "threads": 1}
 
 
 def _leaf_commands(parser, prefix=()):

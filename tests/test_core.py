@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import re
 
@@ -627,3 +629,30 @@ def test_automorphisms_preserve_adjacency():
         }
         for p in perms:
             assert {frozenset({p[a], p[b]}) for a, b in edges} == edges
+
+
+# sha256 of json.dumps(automorphism_id_permutations(TriGrid(n))).  The
+# order is pinned as well as the set: compress.reflect reads entries 4 and
+# 5 by position.
+AUTOMORPHISMS_SHA256 = {
+    1: "ad95ae30cde8f30ecb9fe0be6f34241a34144fd4aef46b6b446c4a3006d9ed22",
+    2: "f9bf153c5c8dd2eaacd721e752728de94692f3bd011e5720f387f51561333d8c",
+    3: "9aaeeb4cb7c422ace10248e903f71d2d63630004837b81e6ecf4d70a1113b211",
+    4: "9a189be325d749ca43941e62b28283d2454d67eb9c93287217d9c578fa1f43af",
+    5: "bc1de4062ae6eb4aee9730fd656b9998523509e0bf391e4daa3635c8659a616c",
+    6: "6bf385da0e790999a90bbab20b851f5b95d97111590a8139fef076c0d654a05e",
+    7: "8eda52192fb8d2848292e328da1e8294613152d60b4a042a577d15636e4ad820",
+    8: "ad945dba77ce464446ed18ad04adf801b3e0803ac57a7be8d9223bb88ba8d574",
+    9: "6399bb057c75205834971c3a217e23b33e2e5c7acbf75e5d7f5955c53d4c0ad0",
+    10: "c7322679fd4a6a1df7fd8da9f0e3a0596bcd114d731e5aac841b66b86a40a121",
+    11: "588b1b39fe8a701e002cbbf41df3566f36edd73bd5d256842a659ed951e5465b",
+    12: "54f6640d47fd115c204df3496603207761c142b74374701f077a9ab631ce3195",
+}
+
+
+def test_automorphism_permutations_pinned():
+    digests = {}
+    for n in AUTOMORPHISMS_SHA256:
+        text = json.dumps(automorphism_id_permutations(TriGrid(n)))
+        digests[n] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == AUTOMORPHISMS_SHA256

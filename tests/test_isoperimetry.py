@@ -83,8 +83,9 @@ def test_exhaustive_refuses_large_orders():
 
 def test_exhaustive_sharded_merge_matches():
     # n = 5 has 2^21 ids in 32 chunks of 2^16 ids: 2 workers take 16
-    # chunks each, 3 workers 11, 11 and 10.
-    for n, workers in ((3, 3), (5, 2), (5, 3)):
+    # chunks each, 3 workers 11, 11 and 10, 5 workers 7, 7, 7, 7 and 4,
+    # and 32 workers one chunk each.
+    for n, workers in ((3, 3), (5, 2), (5, 3), (5, 5), (5, 32)):
         g = TriGrid(n)
         assert (
             exhaustive_min_boundary(g, workers=1).to_json_obj()

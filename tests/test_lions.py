@@ -331,6 +331,30 @@ def test_trace_without_replayed_states_refuses_to_report():
             report(bare)
 
 
+def test_every_report_checks_the_replay_by_one_rule():
+    # One check, one message naming the three counts, for a trace with any
+    # of its replayed lists a state short, and for one with no states.
+    sweep = column_sweep_strategy(TriGrid(3))
+    traces = [LionTrace(TriGrid(2), (Coord(0, 0),), [])]
+    traces += [
+        dataclasses.replace(sweep, **{name: getattr(sweep, name)[:-1]})
+        for name in ("positions", "occupied", "contaminated")
+    ]
+    for trace in traces:
+        message = (
+            f"trace has {len(trace.occupied)} occupancy masks and {len(trace.contaminated)}"
+            f" contaminated sets for {len(trace.positions)} states;"
+            " build it with LionTrace.from_moves"
+        )
+        for report in (LionTrace.is_winning, coupled_searches, couple_to_search, claim_check):
+            with pytest.raises(ValueError) as excinfo:
+                report(trace)
+            assert str(excinfo.value) == message
+    # is_winning no longer answers for a trace that lost its occupancy masks.
+    with pytest.raises(ValueError, match="0 occupancy masks"):
+        dataclasses.replace(sweep, occupied=[]).is_winning()
+
+
 def test_claim_base_case_equality():
     # before any move the two cleared sets coincide with the start positions
     g = TriGrid(3)

@@ -412,9 +412,10 @@ def test_budget_solver_clears_t4_at_the_sweep_budget():
     [
         (lambda k: False, 9, 4, 4, [1, 2, 3]),  # upper itself is never asked
         (lambda k: k >= 2, 9, 4, 2, [1, 2]),
-        (lambda k: False, 5, 6, None, [1, 2, 3, 4, 5]),  # no strategy cleared
+        (lambda k: False, 5, 6, None, [1, 2, 3, 4, 5]),  # a bound past top
+        (lambda k: False, 5, None, None, [1, 2, 3, 4, 5]),  # no strategy cleared
     ],
-    ids=["upper", "below-upper", "none"],
+    ids=["upper", "below-upper", "none", "no-upper"],
 )
 def test_least_asks_only_below_upper(clears, top, upper, least, asked):
     seen = []
