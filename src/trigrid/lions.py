@@ -306,7 +306,7 @@ def claim_check(trace: LionTrace) -> bool:
     """Lockstep containment of cleared sets: cleared-by-lions is always
     inside cleared-by-coupled-search, equivalently every post-search dirty
     set stays inside the contaminated set.  Holds for any legal trace,
-    winning or not.  The coupled searches replay through
+    winning or not.  The coupled searches' bits replay through
     search._dirty_states, and come first in the zip, so no spread runs
     past the last turn.  A trace without its replay (coupled_searches
     checks it first, by LionTrace._check_replayed), or whose contaminated
@@ -315,7 +315,7 @@ def claim_check(trace: LionTrace) -> bool:
     searches = coupled_searches(trace)
     grid = trace.grid
     conts = [_set_bits(grid, c) for c in trace.contaminated]
-    dirty = itertools.chain([grid.full_mask], _dirty_states(grid, searches))
+    dirty = itertools.chain([grid.full_mask], _dirty_states(grid, (s.bits for s in searches)))
     for search, cont, before in zip(searches, conts, dirty):
         if before & ~search.bits & ~cont:
             return False

@@ -40,15 +40,35 @@ def step(grid: TriGrid, dirty: VertexSet, s: VertexSet) -> VertexSet:
     return VertexSet.from_bits(grid, rem | grid.spread_bits(rem))
 
 
-def _dirty_states(grid: TriGrid, searches):
-    """The replay: the dirty bitmask after each turn from full dirty, by
-    step's rule on raw ints, rem = dirty & ~S and then rem | N(rem)."""
+def _dirty_states(grid: TriGrid, masks):
+    """The replay on raw int bitmasks: the dirty bitmask after each turn
+    from full dirty, by step's rule, rem = dirty & ~S and then rem | N(rem).
+    Callers holding VertexSets pass their bits (through _set_bits, which
+    refuses anything else)."""
     spread = grid.spread_bits
     dirty = grid.full_mask
-    for s in searches:
-        rem = dirty & ~_set_bits(grid, s)
+    for s in masks:
+        rem = dirty & ~s
         dirty = rem | spread(rem)
         yield dirty
+
+
+def _check_sizes(budget: int, masks) -> None:
+    """TraceError naming the first turn whose mask has more than budget members."""
+    for turn, s in enumerate(masks):
+        if s.bit_count() > budget:
+            raise TraceError(f"turn {turn}: search of size {s.bit_count()} exceeds budget {budget}")
+
+
+def _clears(grid: TriGrid, budget: int, masks: list[int]) -> bool:
+    """The mask-level check of a schedule with no stored states, as
+    verify_trace applies it: every mask fits the budget (_check_sizes),
+    then whether the replay from full dirty (_dirty_states) ends empty."""
+    _check_sizes(budget, masks)
+    dirty = grid.full_mask
+    for dirty in _dirty_states(grid, masks):
+        pass
+    return not dirty
 
 
 @dataclass
@@ -69,7 +89,8 @@ class SearchTrace:
         cls, grid: TriGrid, budget: int, searches: list[VertexSet]
     ) -> "SearchTrace":
         searches = list(searches)
-        dirty_after = [VertexSet.from_bits(grid, d) for d in _dirty_states(grid, searches)]
+        masks = [_set_bits(grid, s) for s in searches]
+        dirty_after = [VertexSet.from_bits(grid, d) for d in _dirty_states(grid, masks)]
         return cls(grid, budget, searches, dirty_after)
 
     def max_search_size(self) -> int:
@@ -168,32 +189,31 @@ class SearchTrace:
 def verify_trace(grid: TriGrid, trace: SearchTrace) -> bool:
     """Replay once from full dirty; malformed traces raise, honest ones report.
 
-    Stored states are none (the searches replay on raw bitmasks) or one
-    per turn (each must equal step() of the one before, full dirty first).
-    A budget that is not an integer >= 0 raises ValueError; TraceError is
-    raised for a wrong state count and, naming the first offending turn,
-    for an oversized search or a stored state that disagrees with the
-    replay, and for anything that is not a SearchTrace, before any other
-    check.  Returns whether the final dirty set is empty.
+    The searches are read once, so any iterable of them gives the verdict
+    of the list.  Stored states are none (the searches' bitmasks go
+    through _clears, the mask-level check) or one per turn (each must
+    equal step() of the one before, full dirty first).  A budget that is
+    not an integer >= 0 raises ValueError; TraceError is raised for a
+    wrong state count and, naming the first offending turn, for an
+    oversized search or a stored state that disagrees with the replay,
+    and for anything that is not a SearchTrace, before any other check.
+    Returns whether the final dirty set is empty.
     """
     if not isinstance(trace, SearchTrace):
         raise TraceError(f"expected a SearchTrace, got {type(trace).__name__}")
     if trace.n != grid.n:
         raise TraceError("trace order does not match grid")
     budget = as_int(trace.budget, "budget", 0)
+    searches = list(trace.searches)
     stored = trace.dirty_after
-    if stored and len(stored) != len(trace.searches):
-        raise TraceError(f"{len(stored)} stored dirty states for {len(trace.searches)} turns")
-    for turn, s in enumerate(trace.searches):
-        if len(s) > budget:
-            raise TraceError(f"turn {turn}: search of size {len(s)} exceeds budget {budget}")
+    if stored and len(stored) != len(searches):
+        raise TraceError(f"{len(stored)} stored dirty states for {len(searches)} turns")
+    masks = [_set_bits(grid, s) for s in searches]
     if not stored:
-        dirty = grid.full_mask
-        for dirty in _dirty_states(grid, trace.searches):
-            pass
-        return not dirty
+        return _clears(grid, budget, masks)
+    _check_sizes(budget, masks)
     dirty = grid.full_set()
-    for turn, (s, after) in enumerate(zip(trace.searches, stored)):
+    for turn, (s, after) in enumerate(zip(searches, stored)):
         if step(grid, dirty, s) != after:
             raise TraceError(f"turn {turn}: stored dirty state disagrees with replay")
         dirty = after
@@ -202,12 +222,13 @@ def verify_trace(grid: TriGrid, trace: SearchTrace) -> bool:
 
 def three_stage_strategy(grid: TriGrid) -> SearchTrace:
     """The three-stage sweep as a replayed SearchTrace (see _three_stage_searches)."""
-    return SearchTrace.from_searches(grid, *_three_stage_searches(grid))
+    budget, masks = _three_stage_searches(grid)
+    return SearchTrace.from_searches(grid, budget, [VertexSet.from_bits(grid, s) for s in masks])
 
 
-def _three_stage_searches(grid: TriGrid) -> tuple[int, list[VertexSet]]:
-    """(budget, searches): the budgeted clearing schedule with
-    k = ceil(3n/4) + 2 per turn, not replayed.
+def _three_stage_searches(grid: TriGrid) -> tuple[int, list[int]]:
+    """(budget, masks): the budgeted clearing schedule with
+    k = ceil(3n/4) + 2 per turn, as raw int bitmasks, not replayed.
 
     With q = n - k + 2 = floor(n/4), stage 1 fully clears rows n down to
     q + 1, one row per phase, sliding a window across the row and a guard
@@ -222,10 +243,7 @@ def _three_stage_searches(grid: TriGrid) -> tuple[int, list[VertexSet]]:
     k = sweep_budget(n)
     q = n - k + 2
     offs = grid._row_offset
-    searches: list[VertexSet] = []
-
-    def emit(bits):
-        searches.append(VertexSet.from_bits(grid, bits))
+    masks: list[int] = []
 
     for row in range(n, q, -1):
         # Turn j searches the still-dirty suffix of the row (columns
@@ -235,11 +253,11 @@ def _three_stage_searches(grid: TriGrid) -> tuple[int, list[VertexSet]]:
         suffix = grid._row_mask[row] << offs[row]
         prefix = 3 << offs[row - 1]
         for _ in range(n - row + 1):
-            emit(suffix | prefix)
+            masks.append(suffix | prefix)
             suffix &= suffix - 1
             prefix |= prefix << 1
     if q == 0:
-        return k, searches
+        return k, masks
 
     # Stage 2: the L-chain runs along row q from x=2q down to x=q+1, then
     # down column q from y=q to y=0.  Turn j searches chain cells j-1..j+q
@@ -250,7 +268,7 @@ def _three_stage_searches(grid: TriGrid) -> tuple[int, list[VertexSet]]:
     run = (1 << q) - 1
     for j in range(1, q + 1):
         window = _mask(chain[j - 1 : j + q + 1])
-        emit(window | run << offs[q + 1 - j] | run << offs[q - j])
+        masks.append(window | run << offs[q + 1 - j] | run << offs[q - j])
 
     # Stage 3, the mirror of a row phase: shrink down the column while
     # searching a growing top prefix of the next column, one bit each per
@@ -260,9 +278,9 @@ def _three_stage_searches(grid: TriGrid) -> tuple[int, list[VertexSet]]:
         here, nxt = nxt, 0
         for row in range(n - col, 0, -1):
             nxt |= 1 << (offs[row - 1] + col + 1)
-            emit(here | nxt)
+            masks.append(here | nxt)
             here ^= 1 << (offs[row] + col)
-    return k, searches
+    return k, masks
 
 
 def _reaches(starts, expand) -> bool:
@@ -368,19 +386,22 @@ def _budget_solver(grid: TriGrid):
 
 
 def _sweep_upper(grid: TriGrid) -> tuple[int, int | None]:
-    """(budget, upper): the three-stage sweep, built and replayed once by
-    verify_trace, gives _least upper = its budget if it clears, else None."""
-    budget, searches = _three_stage_searches(grid)
-    return budget, budget if verify_trace(grid, SearchTrace(grid, budget, searches)) else None
+    """(budget, upper): the three-stage sweep's masks, built and checked
+    once by _clears, verify_trace's rule for a trace with no stored
+    states, give _least upper = its budget if they clear, else None; an
+    oversized mask raises verify_trace's TraceError."""
+    budget, masks = _three_stage_searches(grid)
+    return budget, budget if _clears(grid, budget, masks) else None
 
 
 def exact_inspection_number(grid: TriGrid, max_m: int) -> int | None:
     """Least per-turn budget that clears T_n, or None past max_m (n <= 4).
 
-    The three-stage sweep is replayed first (_sweep_upper): when it clears,
-    no budget from its own up is searched (see _least), and each budget
-    below it is decided by breadth-first search.  A sweep that did not
-    clear gives upper None, which leaves every budget to the search.
+    The three-stage sweep's masks are checked first (_sweep_upper, by
+    verify_trace's mask-level rule): when they clear, no budget from the
+    sweep's own up is searched (see _least), and each budget below it is
+    decided by breadth-first search.  A sweep that did not clear gives
+    upper None, which leaves every budget to the search.
     """
     as_int(grid.n, "exact solving order", hi=EXACT_ORDER_LIMIT)
     top = as_int(max_m, "max_m", 1)
@@ -404,19 +425,21 @@ def inspection_bounds_report(n_max: int, exact_up_to: int = 1) -> list[BoundsRow
     """Per-order bounds: certified lower bound, replayed upper bound,
     and the exact value where the solver is allowed to run.
 
-    upper is the three-stage sweep's budget.  _sweep_upper builds and
-    replays its schedule once per order: upper_verified (its upper is not
-    None) says every search fits the budget and the final dirty set is
-    empty.  exact reads that verdict, as exact_inspection_number(grid,
-    upper) would."""
+    lower is the largest m in 0..n + 1 that lower_bound_certificate
+    certifies, read from the top.  upper is the three-stage sweep's
+    budget.  _sweep_upper builds its schedule's masks and checks them
+    once per order, by _clears, the rule verify_trace applies to a trace
+    with no stored states: upper_verified (its upper is not None) says
+    every search fits the budget and the final dirty set is empty.  exact
+    reads that verdict, as exact_inspection_number(grid, upper) would."""
     n_max = as_int(n_max, "n_max", 1, 50)
     exact_up_to = as_int(exact_up_to, "exact_up_to", 0, EXACT_ORDER_LIMIT)
     rows = []
     for n in range(1, n_max + 1):
         grid = TriGrid(n)
-        lower = max(
-            m for m in range(0, n + 2) if lower_bound_certificate(grid, m)
-        )
+        # Read from the top: the first m that certifies is the largest
+        # (m = 0 always does), so n + 2 - lower certificates run.
+        lower = next(m for m in range(n + 1, -1, -1) if lower_bound_certificate(grid, m))
         budget, upper = _sweep_upper(grid)
         exact = _least(_budget_solver(grid), budget, upper) if n <= exact_up_to else None
         rows.append(

@@ -133,7 +133,7 @@ def test_three_stage_searches_pinned_past_60():
         width = (grid.vertex_count + 7) // 8
         h.update(f"{n} {budget}\n".encode())
         for s in searches:
-            h.update(s.bits.to_bytes(width, "little"))
+            h.update(s.to_bytes(width, "little"))
     assert h.hexdigest() == SWEEP_SEARCHES_61_TO_120_AND_200_SHA256
 
 
@@ -241,7 +241,8 @@ def test_trace_without_stored_states_reads_back(n):
     # Built directly, the sweep has no stored states and writes an empty
     # checksum list, which reads back as none, the rule verify_trace uses.
     g = TriGrid(n)
-    budget, searches = search._three_stage_searches(g)
+    budget, masks = search._three_stage_searches(g)
+    searches = [VertexSet.from_bits(g, s) for s in masks]
     trace = SearchTrace(g, budget, searches)
     assert verify_trace(g, trace)
     obj = json.loads(trace.to_json())
@@ -437,7 +438,13 @@ def test_exact_inspection_number_stops_at_the_sweep_budget(monkeypatch):
 
 def test_exact_inspection_number_searches_every_budget_when_the_sweep_fails(monkeypatch):
     asked = record_solver_counts(monkeypatch, search, "_budget_solver")
-    monkeypatch.setattr(search, "verify_trace", lambda grid, trace: False)
+    build = search._three_stage_searches
+
+    def short(grid):
+        budget, searches = build(grid)
+        return budget, searches[:-1]
+
+    monkeypatch.setattr(search, "_three_stage_searches", short)
     for n, value in INSPECTION_NUMBERS.items():
         asked.clear()
         assert exact_inspection_number(TriGrid(n), 6) == value
@@ -519,6 +526,36 @@ def test_certified_lower_column_up_to_50():
     assert lower == CERTIFIED_LOWER
 
 
+def test_bounds_report_lower_is_the_largest_certified_m():
+    # Read from the top, lower is the all-m maximum: m = 0 always certifies.
+    # The report stops at n = 50; the rule is checked to n = 120.
+    for n in range(1, 121):
+        g = TriGrid(n)
+        certified = [m for m in range(n + 2) if lower_bound_certificate(g, m)]
+        from_top = next(m for m in range(n + 1, -1, -1) if lower_bound_certificate(g, m))
+        assert certified[0] == 0 and from_top == certified[-1], n
+    rows = inspection_bounds_report(50, exact_up_to=0)
+    assert [r.lower for r in rows] == CERTIFIED_LOWER
+
+
+def test_bounds_report_reads_lower_from_the_top(monkeypatch):
+    asked = []
+    certify = search.lower_bound_certificate
+
+    def counted(grid, m):
+        asked.append(grid.n)
+        return certify(grid, m)
+
+    monkeypatch.setattr(search, "lower_bound_certificate", counted)
+    rows = inspection_bounds_report(24, exact_up_to=0)
+    calls = [asked.count(n) for n in range(1, 25)]
+    assert calls == [r.n + 2 - r.lower for r in rows]
+    assert calls == [
+        1, 2, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7,
+        7, 7, 8, 8,
+    ]
+
+
 def test_bounds_report_rows():
     rows = inspection_bounds_report(6, exact_up_to=1)
     assert [r.n for r in rows] == [1, 2, 3, 4, 5, 6]
@@ -592,3 +629,83 @@ def test_bounds_report_searches_every_budget_when_the_sweep_fails(monkeypatch):
     assert [r.exact for r in rows] == [3, 4, 4, 5, None, None]
     assert not any(r.upper_verified for r in rows)
     assert asked == [k for value in INSPECTION_NUMBERS.values() for k in range(1, value + 1)]
+
+
+def test_sweep_upper_matches_verify_trace():
+    for n in range(1, 61):
+        g = TriGrid(n)
+        budget = sweep_budget(n)
+        expected = budget if verify_trace(g, three_stage_strategy(g)) else None
+        assert search._sweep_upper(g) == (budget, expected), n
+
+
+def test_sweep_upper_and_verify_trace_agree_on_a_short_sweep(monkeypatch):
+    build = search._three_stage_searches
+
+    def short(grid):
+        budget, masks = build(grid)
+        return budget, masks[:-1]
+
+    monkeypatch.setattr(search, "_three_stage_searches", short)
+    for n in range(1, 13):
+        g = TriGrid(n)
+        assert search._sweep_upper(g) == (sweep_budget(n), None), n
+        assert verify_trace(g, three_stage_strategy(g)) is False, n
+        unstored = SearchTrace(g, sweep_budget(n), three_stage_strategy(g).searches)
+        assert verify_trace(g, unstored) is False, n
+
+
+def test_sweep_upper_and_verify_trace_refuse_a_mask_past_the_budget(monkeypatch):
+    build = search._three_stage_searches
+    turn = {}
+
+    def grown(grid):
+        budget, masks = build(grid)
+        t = turn[grid.n] = len(masks) // 2
+        s, free = masks[t], grid.full_mask & ~masks[t]
+        while s.bit_count() <= budget:  # add free vertices, lowest first
+            s |= free & -free
+            free &= free - 1
+        return budget, masks[:t] + [s] + masks[t + 1 :]
+
+    monkeypatch.setattr(search, "_three_stage_searches", grown)
+    for n in range(2, 13):
+        g = TriGrid(n)
+        budget = sweep_budget(n)
+        errors = []
+        for check in (
+            lambda: search._sweep_upper(g),
+            lambda: verify_trace(g, three_stage_strategy(g)),
+            lambda: verify_trace(g, SearchTrace(g, budget, three_stage_strategy(g).searches)),
+        ):
+            with pytest.raises(TraceError) as err:
+                check()
+            errors.append(str(err.value))
+        assert errors == [
+            f"turn {turn[n]}: search of size {budget + 1} exceeds budget {budget}"
+        ] * 3, n
+
+
+def test_dirty_states_on_masks_are_the_stored_states():
+    for n in range(1, 13):
+        g = TriGrid(n)
+        trace = three_stage_strategy(g)
+        _, masks = search._three_stage_searches(g)
+        assert masks == [s.bits for s in trace.searches]
+        assert list(search._dirty_states(g, masks)) == [d.bits for d in trace.dirty_after], n
+
+
+def test_verify_trace_reads_the_searches_once():
+    # A one-shot iterable of searches gives the list's verdict, with and
+    # without stored states, for the sweep and for the sweep one turn short.
+    for n in range(1, 9):
+        g = TriGrid(n)
+        sweep = three_stage_strategy(g)
+        short = SearchTrace.from_searches(g, sweep.budget, sweep.searches[:-1])
+        for trace in (sweep, short):
+            for states in (trace.dirty_after, []):
+                verdict = verify_trace(g, SearchTrace(g, trace.budget, trace.searches, states))
+                assert verdict is (trace is sweep), n
+                for make in (lambda xs: (s for s in xs), iter, tuple):
+                    once = SearchTrace(g, trace.budget, make(trace.searches), states)
+                    assert verify_trace(g, once) is verdict, (n, make)
